@@ -3,11 +3,14 @@
 //!
 //! Every trainer in `crates/core/src/dist/` must issue the *same
 //! collectives in the same order* regardless of which sibling branch
-//! runs — `CommMode::Dense` vs `CommMode::SparsityAware` arms, and
-//! overlap-on (`Some(op) => op.wait()`) vs overlap-off (`None =>
-//! blocking collective`) arms. A divergent branch desynchronizes seq
-//! numbers across ranks and deadlocks (or silently breaks
-//! bit-identity).
+//! runs. A divergent branch desynchronizes seq numbers across ranks and
+//! deadlocks (or silently breaks bit-identity). The `CommMode` arms —
+//! `Dense` vs `SparsityAware` vs `Cached` — live in one place, the
+//! issue match of `StageFetcher` in `dist/mod.rs`, which rule A of
+//! `run` checks. No trainer keeps overlap-on (`Some(op) => op.wait()`)
+//! vs overlap-off (`None => blocking collective`) sibling arms any more
+//! (overlap is a deferred issue inside the stage pipeline); rule B keeps
+//! checking such arms should one reappear.
 //!
 //! Collective issue sites are extracted per function, *interprocedurally
 //! within the file*: calls to same-file functions and to `let`-bound
@@ -162,7 +165,7 @@ impl<'m, 's> Extractor<'m, 's> {
                         continue;
                     }
                     // A method call resolving to a same-file fn splices
-                    // its summary (e.g. `self.issue_fetch(…)`).
+                    // its summary (e.g. `self.issue(…)` in `StageFetcher`).
                     if let Some(fi) = self.resolve_fn(name) {
                         let events = self.fn_events(fi);
                         out.extend(events);

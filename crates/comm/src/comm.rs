@@ -601,79 +601,15 @@ impl Communicator {
     /// but the root hands over an `Arc` instead of an owned value, so a
     /// block a trainer keeps resident (its own `H` slice) rides into the
     /// rendezvous without being copied. Fingerprinting and charging are
-    /// identical to `bcast`.
+    /// identical to `bcast`: it is [`Communicator::ibcast_shared`] waited
+    /// at once.
     pub fn bcast_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         root_idx: usize,
         data: Option<Arc<T>>,
         cat: Cat,
     ) -> Arc<T> {
-        assert!(root_idx < self.size(), "bcast root out of range");
-        assert_eq!(
-            data.is_some(),
-            root_idx == self.my_idx,
-            "bcast: exactly the root must supply data"
-        );
-        if let Some(prec) = self.packed_precision::<T>(cat) {
-            let mat = data.map(Self::arc_as_mat);
-            return Self::arc_from_mat(self.bcast_packed(root_idx, mat, prec));
-        }
-        // The root declares the payload size; everyone else cannot know
-        // it yet and declares a wildcard shape.
-        let shape = match &data {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
-            CollectiveKind::Bcast,
-            Some(root_idx),
-            None,
-            std::any::type_name::<T>(),
-            shape,
-        );
-        let payload = match data {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
-        let out = Self::downcast::<T>(items[root_idx].clone());
-        let words = out.comm_words();
-        let cost = self.model().bcast_time(self.size(), words);
-        self.settle(tmax, cat, cost, if self.size() > 1 { words } else { 0 });
-        out
-    }
-
-    /// Compressed-precision broadcast: the root rounds its matrix to the
-    /// wire precision once, and **every** rank — the root included —
-    /// widens the packed payload back to `f64`, so all members hold
-    /// bit-identical replicas (the replication invariant every dense
-    /// collective keeps). Metered under the precision's own category
-    /// with the packed word count, so the β term halves (f32) or
-    /// quarters (bf16).
-    fn bcast_packed(&self, root_idx: usize, data: Option<Arc<Mat>>, prec: Precision) -> Arc<Mat> {
-        let packed = data.map(|m| Arc::new(PackedMat::pack(&m, prec)));
-        let shape = match &packed {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
-            CollectiveKind::Bcast,
-            Some(root_idx),
-            None,
-            prec.packed_dtype(),
-            shape,
-        );
-        let payload = match packed {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
-        let packed = Self::downcast::<PackedMat>(items[root_idx].clone());
-        let out = Arc::new(packed.widen());
-        let words = packed.comm_words();
-        let cost = self.model().bcast_time(self.size(), words);
-        self.settle(tmax, prec.dense_cat(), cost, words);
-        out
+        self.ibcast_shared(root_idx, data, cat).wait()
     }
 
     /// Sparsity-aware row broadcast: member `root_idx` holds a dense row
@@ -711,14 +647,8 @@ impl Communicator {
         expect: Option<(usize, usize)>,
         cat: Cat,
     ) -> GatheredRows {
-        self.gather_rows_kind(
-            CollectiveKind::GatherRows,
-            root_idx,
-            data,
-            needed,
-            expect,
-            cat,
-        )
+        self.igather_rows(root_idx, data, needed, expect, cat)
+            .wait()
     }
 
     /// Cached-mode refresh epoch variant of [`Communicator::gather_rows`]:
@@ -734,70 +664,8 @@ impl Communicator {
         expect: Option<(usize, usize)>,
         cat: Cat,
     ) -> GatheredRows {
-        self.gather_rows_kind(
-            CollectiveKind::GatherRowsRefresh,
-            root_idx,
-            data,
-            needed,
-            expect,
-            cat,
-        )
-    }
-
-    fn gather_rows_kind(
-        &self,
-        kind: CollectiveKind,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        cat: Cat,
-    ) -> GatheredRows {
-        assert!(root_idx < self.size(), "gather_rows root out of range");
-        assert_eq!(
-            data.is_some(),
-            root_idx == self.my_idx,
-            "gather_rows: exactly the root must supply data"
-        );
-        for w in needed.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "gather_rows: needed rows must be sorted and distinct"
-            );
-        }
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            // The root's own result must stay exact: capture its
-            // full-precision Arc before packing — root-local data never
-            // crosses the wire, so it is never rounded.
-            let root_block = data.clone();
-            let shape = Self::gather_rows_shape(&data, expect);
-            let fp = self.fingerprint(kind, Some(root_idx), None, prec.packed_dtype(), shape);
-            let deposit = PackedRowsDeposit {
-                needed: needed.to_vec(),
-                data: data.map(|m| PackedMat::pack(&m, prec)),
-            };
-            let (items, tmax) = self.exchange_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-            let (out, cost, words) =
-                self.gather_rows_finish_packed(root_idx, needed, expect, items, root_block, prec);
-            self.settle(tmax, prec.dense_cat(), cost, words);
-            return out;
-        }
-        let shape = Self::gather_rows_shape(&data, expect);
-        let fp = self.fingerprint(
-            kind,
-            Some(root_idx),
-            None,
-            std::any::type_name::<Mat>(),
-            shape,
-        );
-        let deposit = GatherRowsDeposit {
-            needed: needed.to_vec(),
-            data,
-        };
-        let (items, tmax) = self.exchange_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-        let (out, cost, words) = self.gather_rows_finish(root_idx, needed, expect, items);
-        self.settle(tmax, cat, cost, words);
-        out
+        self.igather_rows_refresh(root_idx, data, needed, expect, cat)
+            .wait()
     }
 
     /// Fingerprint shape for `gather_rows`/`igather_rows`: the root
@@ -840,9 +708,7 @@ impl Communicator {
         let p = self.size();
         // Wire words per requested row: the row itself plus one index word.
         let row_words = block.cols() as u64 + 1;
-        let (cost, words) = if p <= 1 {
-            (0.0, 0)
-        } else if self.my_idx == root_idx {
+        let (cost, words) = if self.my_idx == root_idx {
             let served: u64 = deposits
                 .iter()
                 .enumerate()
@@ -963,8 +829,8 @@ impl Communicator {
     /// Nonblocking [`Communicator::bcast`]: the rendezvous deposit
     /// happens now (so CheckMode fingerprints, sequence alignment, and
     /// determinism are unchanged) and the payload plus α–β charge arrive
-    /// at [`PendingOp::wait`]. Fingerprinted as `ibcast`, so every rank
-    /// must agree on blocking vs. nonblocking at each call site.
+    /// at [`PendingOp::wait`]. Fingerprinted as `bcast`: the blocking form
+    /// is this op waited at once, so the two spellings are one collective.
     pub fn ibcast<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         root_idx: usize,
@@ -975,36 +841,39 @@ impl Communicator {
     }
 
     /// Nonblocking [`Communicator::bcast_shared`]: issue now, receive at
-    /// [`PendingOp::wait`]. Identical results, words, and messages to the
-    /// blocking form; the cost lands on the network lane, so compute
-    /// charged between issue and wait hides it (see DESIGN.md §10).
+    /// [`PendingOp::wait`]. The one body behind both broadcast spellings;
+    /// the cost lands on the network lane, so compute charged between
+    /// issue and wait hides it (see DESIGN.md §10), and an immediate wait
+    /// charges exactly like a blocking collective.
     pub fn ibcast_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         root_idx: usize,
         data: Option<Arc<T>>,
         cat: Cat,
     ) -> PendingOp<'_, Arc<T>> {
-        assert!(root_idx < self.size(), "ibcast root out of range");
+        assert!(root_idx < self.size(), "bcast root out of range");
         assert_eq!(
             data.is_some(),
             root_idx == self.my_idx,
-            "ibcast: exactly the root must supply data"
+            "bcast: exactly the root must supply data"
         );
         if self.size() == 1 {
             let Some(d) = data else {
-                unreachable!("single-rank ibcast root missing its own data")
+                unreachable!("single-rank bcast root missing its own data")
             };
-            return PendingOp::ready(self, CollectiveKind::IBcast, cat, d);
+            return PendingOp::ready(self, CollectiveKind::Bcast, cat, d);
         }
         if let Some(prec) = self.packed_precision::<T>(cat) {
             return self.ibcast_packed(root_idx, data.map(Self::arc_as_mat), prec);
         }
+        // The root declares the payload size; everyone else cannot know
+        // it yet and declares a wildcard shape.
         let shape = match &data {
             Some(d) => Shape::Words(d.comm_words()),
             None => Shape::Unknown,
         };
         let fp = self.fingerprint(
-            CollectiveKind::IBcast,
+            CollectiveKind::Bcast,
             Some(root_idx),
             None,
             std::any::type_name::<T>(),
@@ -1014,10 +883,10 @@ impl Communicator {
             Some(d) => TxPayload::of(d),
             None => TxPayload::unit(),
         };
-        let seq = self.issue_raw(CollectiveKind::IBcast, fp, payload);
+        let seq = self.issue_raw(CollectiveKind::Bcast, fp, payload);
         PendingOp::in_flight(
             self,
-            CollectiveKind::IBcast,
+            CollectiveKind::Bcast,
             cat,
             seq,
             Box::new(move |comm, items| {
@@ -1030,10 +899,12 @@ impl Communicator {
     }
 
     /// Compressed-precision [`Communicator::ibcast_shared`]: the root
-    /// packs at issue, every rank (root included) widens at `wait()` —
-    /// identical rounding to the blocking [`Communicator::bcast_packed`]
-    /// — and the packed word count settles under the precision's
-    /// category on the network lane.
+    /// rounds its matrix to the wire precision once at issue, and
+    /// **every** rank — the root included — widens the packed payload
+    /// back to `f64` at `wait()`, so all members hold bit-identical
+    /// replicas (the replication invariant every dense collective keeps).
+    /// Metered under the precision's own category with the packed word
+    /// count, so the β term halves (f32) or quarters (bf16).
     fn ibcast_packed<T: Any + Send + Sync>(
         &self,
         root_idx: usize,
@@ -1046,7 +917,7 @@ impl Communicator {
             None => Shape::Unknown,
         };
         let fp = self.fingerprint(
-            CollectiveKind::IBcast,
+            CollectiveKind::Bcast,
             Some(root_idx),
             None,
             prec.packed_dtype(),
@@ -1056,10 +927,10 @@ impl Communicator {
             Some(d) => TxPayload::of(d),
             None => TxPayload::unit(),
         };
-        let seq = self.issue_raw(CollectiveKind::IBcast, fp, payload);
+        let seq = self.issue_raw(CollectiveKind::Bcast, fp, payload);
         PendingOp::in_flight(
             self,
-            CollectiveKind::IBcast,
+            CollectiveKind::Bcast,
             prec.dense_cat(),
             seq,
             Box::new(move |comm, items| {
@@ -1074,8 +945,9 @@ impl Communicator {
 
     /// Nonblocking [`Communicator::gather_rows`]: receivers' row requests
     /// and the root's block deposit at issue; compact-row extraction,
-    /// dim validation, cost, and word accounting (identical to the
-    /// blocking form, DESIGN.md §9) happen at [`PendingOp::wait`].
+    /// dim validation, cost, and word accounting (DESIGN.md §9) happen
+    /// at [`PendingOp::wait`]. The blocking form is this op waited at
+    /// once.
     pub fn igather_rows(
         &self,
         root_idx: usize,
@@ -1085,7 +957,7 @@ impl Communicator {
         cat: Cat,
     ) -> PendingOp<'_, GatheredRows> {
         self.igather_rows_kind(
-            CollectiveKind::IGatherRows,
+            CollectiveKind::GatherRows,
             root_idx,
             data,
             needed,
@@ -1096,7 +968,7 @@ impl Communicator {
 
     /// Cached-mode refresh epoch variant of
     /// [`Communicator::igather_rows`]: identical exchange, costs, and
-    /// words, fingerprinted as `igather_rows_refresh` (see
+    /// words, fingerprinted as `gather_rows_refresh` (see
     /// [`Communicator::gather_rows_refresh`]).
     pub fn igather_rows_refresh(
         &self,
@@ -1107,7 +979,7 @@ impl Communicator {
         cat: Cat,
     ) -> PendingOp<'_, GatheredRows> {
         self.igather_rows_kind(
-            CollectiveKind::IGatherRowsRefresh,
+            CollectiveKind::GatherRowsRefresh,
             root_idx,
             data,
             needed,
@@ -1125,21 +997,21 @@ impl Communicator {
         expect: Option<(usize, usize)>,
         cat: Cat,
     ) -> PendingOp<'_, GatheredRows> {
-        assert!(root_idx < self.size(), "igather_rows root out of range");
+        assert!(root_idx < self.size(), "gather_rows root out of range");
         assert_eq!(
             data.is_some(),
             root_idx == self.my_idx,
-            "igather_rows: exactly the root must supply data"
+            "gather_rows: exactly the root must supply data"
         );
         for w in needed.windows(2) {
             assert!(
                 w[0] < w[1],
-                "igather_rows: needed rows must be sorted and distinct"
+                "gather_rows: needed rows must be sorted and distinct"
             );
         }
         if self.size() == 1 {
             let Some(block) = data else {
-                unreachable!("single-rank igather_rows root missing its own data")
+                unreachable!("single-rank gather_rows root missing its own data")
             };
             return PendingOp::ready(
                 self,
@@ -1152,8 +1024,9 @@ impl Communicator {
             );
         }
         if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            // Same exception as the blocking form: the root's own result
-            // is the captured full-precision Arc, never the packed copy.
+            // The root's own result must stay exact: capture its
+            // full-precision Arc before packing — root-local data never
+            // crosses the wire, so it is never rounded.
             let root_block = data.clone();
             let shape = Self::gather_rows_shape(&data, expect);
             let fp = self.fingerprint(kind, Some(root_idx), None, prec.packed_dtype(), shape);
@@ -1217,28 +1090,29 @@ impl Communicator {
 
     /// Nonblocking [`Communicator::allreduce_mat`]: deposit now, sum (in
     /// member order, deterministic) and charge at [`PendingOp::wait`].
+    /// The blocking form is this op waited at once.
     pub fn iallreduce_mat(&self, m: &Mat, cat: Cat) -> PendingOp<'_, Mat> {
         if self.size() == 1 {
-            return PendingOp::ready(self, CollectiveKind::IAllreduceMat, cat, m.clone());
+            return PendingOp::ready(self, CollectiveKind::AllreduceMat, cat, m.clone());
         }
         if let Some(prec) = self.packed_precision::<Mat>(cat) {
             return self.iallreduce_mat_packed(m, prec);
         }
         let fp = self.fingerprint(
-            CollectiveKind::IAllreduceMat,
+            CollectiveKind::AllreduceMat,
             None,
             None,
             std::any::type_name::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
         let seq = self.issue_raw(
-            CollectiveKind::IAllreduceMat,
+            CollectiveKind::AllreduceMat,
             fp,
             TxPayload::of(Arc::new(m.clone())),
         );
         PendingOp::in_flight(
             self,
-            CollectiveKind::IAllreduceMat,
+            CollectiveKind::AllreduceMat,
             cat,
             seq,
             Box::new(move |comm, items| {
@@ -1262,23 +1136,24 @@ impl Communicator {
         )
     }
 
-    /// Compressed-precision [`Communicator::iallreduce_mat`]: pack at
-    /// issue, widen-and-sum in `f64` member order at `wait()` — the same
-    /// rounding as the blocking form.
+    /// Compressed-precision [`Communicator::iallreduce_mat`]: each
+    /// contribution is rounded once by its sender at issue; every rank
+    /// widens all parts and sums them in `f64` member order at `wait()`,
+    /// so all ranks still return identical bits.
     fn iallreduce_mat_packed(&self, m: &Mat, prec: Precision) -> PendingOp<'_, Mat> {
         let packed = Arc::new(PackedMat::pack(m, prec));
         let w = packed.comm_words();
         let fp = self.fingerprint(
-            CollectiveKind::IAllreduceMat,
+            CollectiveKind::AllreduceMat,
             None,
             None,
             prec.packed_dtype(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let seq = self.issue_raw(CollectiveKind::IAllreduceMat, fp, TxPayload::of(packed));
+        let seq = self.issue_raw(CollectiveKind::AllreduceMat, fp, TxPayload::of(packed));
         PendingOp::in_flight(
             self,
-            CollectiveKind::IAllreduceMat,
+            CollectiveKind::AllreduceMat,
             prec.dense_cat(),
             seq,
             Box::new(move |comm, items| {
@@ -1384,75 +1259,7 @@ impl Communicator {
     /// `f64` by every receiver; the sum itself is always accumulated in
     /// `f64` member order, so all ranks still return identical bits.
     pub fn allreduce_mat(&self, m: &Mat, cat: Cat) -> Mat {
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            return self.allreduce_mat_packed(m, prec);
-        }
-        let fp = self.fingerprint(
-            CollectiveKind::AllreduceMat,
-            None,
-            None,
-            std::any::type_name::<Mat>(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let (items, tmax) = self.exchange_raw(
-            CollectiveKind::AllreduceMat,
-            fp,
-            TxPayload::of(Arc::new(m.clone())),
-        );
-        let mut acc: Option<Mat> = None;
-        for p in items {
-            let part = Self::downcast::<Mat>(p);
-            match &mut acc {
-                None => acc = Some((*part).clone()),
-                Some(a) => cagnet_dense::ops::add_assign(a, &part),
-            }
-        }
-        let Some(out) = acc else {
-            unreachable!("allreduce over an empty communicator")
-        };
-        let p = self.size();
-        let w = out.len() as u64;
-        let cost = self.model().allreduce_time(p, w);
-        let words = if p > 1 {
-            2 * w * (p as u64 - 1) / p as u64
-        } else {
-            0
-        };
-        self.settle(tmax, cat, cost, words);
-        out
-    }
-
-    /// Compressed-precision [`Communicator::allreduce_mat`]: narrow on
-    /// the wire, `f64` accumulation on receipt, every rank sums the
-    /// identical widened parts in member order.
-    fn allreduce_mat_packed(&self, m: &Mat, prec: Precision) -> Mat {
-        let packed = Arc::new(PackedMat::pack(m, prec));
-        let w = packed.comm_words();
-        let fp = self.fingerprint(
-            CollectiveKind::AllreduceMat,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let (items, tmax) =
-            self.exchange_raw(CollectiveKind::AllreduceMat, fp, TxPayload::of(packed));
-        let mut acc: Option<Mat> = None;
-        for p in items {
-            let part = Self::downcast::<PackedMat>(p).widen();
-            match &mut acc {
-                None => acc = Some(part),
-                Some(a) => cagnet_dense::ops::add_assign(a, &part),
-            }
-        }
-        let Some(out) = acc else {
-            unreachable!("allreduce over an empty communicator")
-        };
-        let p = self.size();
-        let cost = self.model().allreduce_time(p, w);
-        let words = 2 * w * (p as u64 - 1) / p as u64;
-        self.settle(tmax, prec.dense_cat(), cost, words);
-        out
+        self.iallreduce_mat(m, cat).wait()
     }
 
     /// All-reduce (sum) of scalars.

@@ -747,11 +747,7 @@ impl Wire for CollectiveKind {
             CollectiveKind::Sendrecv => 9,
             CollectiveKind::GatherRows => 10,
             CollectiveKind::Split => 11,
-            CollectiveKind::IBcast => 12,
-            CollectiveKind::IGatherRows => 13,
-            CollectiveKind::IAllreduceMat => 14,
-            CollectiveKind::GatherRowsRefresh => 15,
-            CollectiveKind::IGatherRowsRefresh => 16,
+            CollectiveKind::GatherRowsRefresh => 12,
         };
         out.push(tag);
     }
@@ -769,11 +765,7 @@ impl Wire for CollectiveKind {
             9 => CollectiveKind::Sendrecv,
             10 => CollectiveKind::GatherRows,
             11 => CollectiveKind::Split,
-            12 => CollectiveKind::IBcast,
-            13 => CollectiveKind::IGatherRows,
-            14 => CollectiveKind::IAllreduceMat,
-            15 => CollectiveKind::GatherRowsRefresh,
-            16 => CollectiveKind::IGatherRowsRefresh,
+            12 => CollectiveKind::GatherRowsRefresh,
             _ => return Err(FrameError::Malformed("collective kind out of range")),
         })
     }

@@ -145,7 +145,14 @@ impl Timeline {
         // If every participant only became ready after our compute ended,
         // the gap is rendezvous idle time.
         self.sync_to(net_start);
-        let remainder = (finish - self.clock).max(0.0);
+        // Nothing hidden: the op ran entirely on the clock, so charge its
+        // cost exactly, as a blocking settle does (re-deriving it as
+        // `finish - clock` would round).
+        let remainder = if hidden > 0.0 {
+            (finish - self.clock).max(0.0)
+        } else {
+            cost
+        };
         self.charge(cat, remainder);
     }
 
@@ -403,6 +410,22 @@ mod tests {
         assert_eq!(a.clock(), b.clock());
         assert_eq!(a.seconds(Cat::Idle), b.seconds(Cat::Idle));
         assert_eq!(a.seconds(Cat::DenseComm), b.seconds(Cat::DenseComm));
+    }
+
+    #[test]
+    fn settle_pending_with_nothing_hidden_matches_settle_blocking() {
+        // An op waited right after its issue hides nothing; it must charge
+        // exactly its cost, not `fl(fl(a + c) - a)`.
+        let mut a = Timeline::new();
+        a.charge(Cat::Spmm, 0.1);
+        a.settle_pending(0.1, Cat::DenseComm, 0.2);
+        let mut b = Timeline::new();
+        b.charge(Cat::Spmm, 0.1);
+        b.settle_blocking(0.1, Cat::DenseComm, 0.2);
+        assert_eq!(a.clock(), b.clock());
+        assert_eq!(a.seconds(Cat::Idle), b.seconds(Cat::Idle));
+        assert_eq!(a.seconds(Cat::DenseComm), b.seconds(Cat::DenseComm));
+        assert_eq!(a.seconds(Cat::DenseComm), 0.2);
     }
 
     #[test]

@@ -31,9 +31,11 @@ pub mod threedim;
 pub mod transpose;
 pub mod twodim;
 
+use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
 use cagnet_dense::Mat;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -134,19 +136,55 @@ impl fmt::Display for SetupError {
 
 impl std::error::Error for SetupError {}
 
+/// A collective issued now (overlap on) or where it is waited (overlap
+/// off) — see [`StageFetcher::defer`]. Waiting issues the collective
+/// first if it was deferred, so with overlap off every collective runs
+/// at exactly the point a blocking call would, and its immediate wait
+/// charges exactly what the blocking call does.
+#[must_use = "a deferred collective must be wait()ed"]
+pub(crate) struct Deferred<'a, T>(Box<dyn FnOnce() -> T + 'a>);
+
+impl<T> Deferred<'_, T> {
+    /// Complete the collective and return its result.
+    pub(crate) fn wait(self) -> T {
+        (self.0)()
+    }
+}
+
+/// Run a stage loop of `stages` stages through the issue-ahead pipeline
+/// (DESIGN.md §10): stage `s + 1`'s operands are requested before stage
+/// `s` computes, so with overlap on their collectives are in flight
+/// behind its compute. `issue` returns the stage's [`Deferred`]
+/// operands; `compute` waits them and does the stage's local work.
+/// Every rank requests and waits in the same order, so results are
+/// bit-identical with overlap on and off.
+pub(crate) fn run_stages<T>(
+    stages: usize,
+    mut issue: impl FnMut(usize) -> T,
+    mut compute: impl FnMut(usize, T),
+) {
+    let mut ahead = (stages > 0).then(|| issue(0));
+    for s in 0..stages {
+        let next = (s + 1 < stages).then(|| issue(s + 1));
+        if let Some(current) = std::mem::replace(&mut ahead, next) {
+            compute(s, current);
+        }
+    }
+}
+
 /// A stage fetch in flight. The dense broadcast and the sparsity-aware
 /// row gather resolve to different payloads (a full shared block vs a
-/// compact [`GatheredRows`]), so the issue-ahead pipelines carry this
-/// enum and collapse it to the dense operand the stage SpMM multiplies.
-pub(crate) enum Fetch<'c> {
+/// compact [`GatheredRows`]); waiting collapses either to the dense
+/// operand the stage SpMM multiplies.
+enum Fetch<'c> {
     /// Pending full-block broadcast (`CommMode::Dense`).
     Dense(PendingOp<'c, Arc<Mat>>),
-    /// Pending row gather (`CommMode::SparsityAware`, and cached-mode
-    /// refresh epochs).
+    /// Pending row gather (`CommMode::SparsityAware`, cached-mode
+    /// refresh epochs, and evaluation passes).
     Sparse(PendingOp<'c, GatheredRows>),
     /// Stage operand already resident: a cached compact block served
-    /// without any collective (`CommMode::Cached` non-refresh epochs),
-    /// or a fresh locally-extracted compact of the rank's own block.
+    /// without any collective (`CommMode::Cached` serve epochs), or a
+    /// fresh locally-extracted compact of the rank's own block.
     Cached(Arc<Mat>),
 }
 
@@ -156,7 +194,7 @@ impl Fetch<'_> {
     /// with the column-compacted sparse panel
     /// ([`cagnet_sparse::Csr::compact_cols`]) so accumulation order, and
     /// therefore every bit of the result, matches the dense path.
-    pub(crate) fn wait(self, needed: &[usize]) -> Arc<Mat> {
+    fn wait(self, needed: &[usize]) -> Arc<Mat> {
         match self {
             Fetch::Dense(op) => op.wait(),
             Fetch::Sparse(op) => op.wait().compact(needed),
@@ -165,9 +203,217 @@ impl Fetch<'_> {
     }
 }
 
+/// The stage-fetch pipeline every distributed trainer runs its stage
+/// loops through. Each stage of the paper's algorithms fetches a remote
+/// block of a dense operand (`H`, `G`, or a SUMMA `D` panel) from its
+/// owner, and the rank multiplies it into a partial sum; only that
+/// multiply differs between trainers. The fetcher owns everything else:
+///
+/// * the [`CommMode`] — a dense `ibcast_shared`, a sparsity-aware
+///   `igather_rows` of the receiver's needed rows, or the cached tier's
+///   refresh gather (`igather_rows_refresh`) / cache serve with its
+///   [`Cat::CacheHit`] metering (DESIGN.md §9, §13);
+/// * the overlap flag — with overlap on a collective is issued when it is
+///   requested, with overlap off where it is waited (see [`Deferred`]);
+/// * the training/refresh state and the rank-local halo cache, which it
+///   fills on refresh epochs itself.
+#[derive(Debug)]
+pub(crate) struct StageFetcher {
+    mode: CommMode,
+    overlap: bool,
+    /// Inside [`StageFetcher::begin_epoch`] .. [`StageFetcher::end_epoch`]:
+    /// a training pass (dropout on; the cached tier reads and writes the
+    /// cache). Evaluation forwards always gather fresh.
+    training: bool,
+    cache: RefCell<HaloCache>,
+}
+
+impl Default for StageFetcher {
+    fn default() -> Self {
+        StageFetcher {
+            mode: CommMode::Dense,
+            overlap: true,
+            training: false,
+            cache: RefCell::default(),
+        }
+    }
+}
+
+impl StageFetcher {
+    /// Select the comm tier; always drops the halo cache, so a mode
+    /// change (or a re-set after mutating state) can never serve stale
+    /// blocks.
+    pub(crate) fn set_mode(&mut self, mode: CommMode) {
+        self.cache.get_mut().invalidate();
+        self.mode = mode;
+    }
+
+    /// Enable or disable issue-ahead overlap.
+    pub(crate) fn set_overlap(&mut self, overlap: bool) {
+        self.overlap = overlap;
+    }
+
+    /// Whether stage operands move as compact needed-row sets (see
+    /// [`CommMode::sparse_exchange`]): trainers then multiply against
+    /// column-compacted sparse panels.
+    pub(crate) fn sparse_exchange(&self) -> bool {
+        self.mode.sparse_exchange()
+    }
+
+    /// Whether a training epoch is in progress.
+    pub(crate) fn training(&self) -> bool {
+        self.training
+    }
+
+    /// Start training epoch `epoch` (1-based); in cached mode, decide
+    /// once for its whole forward+backward pass whether it refreshes.
+    pub(crate) fn begin_epoch(&mut self, epoch: u64) {
+        self.training = true;
+        let cache = self.cache.get_mut();
+        cache.next_slot = 0;
+        if let Some(refresh) = self.mode.cached_refresh() {
+            cache.begin_epoch(refresh, epoch as usize);
+        }
+    }
+
+    /// End the training epoch started by [`StageFetcher::begin_epoch`].
+    pub(crate) fn end_epoch(&mut self) {
+        self.training = false;
+    }
+
+    /// Request a nonblocking collective: with overlap on it is issued
+    /// now and completes at [`Deferred::wait`]; with overlap off it is
+    /// issued at the wait itself, where a blocking call would sit.
+    pub(crate) fn defer<'a, T: 'a>(
+        &self,
+        issue: impl FnOnce() -> PendingOp<'a, T> + 'a,
+    ) -> Deferred<'a, T> {
+        self.deferred(issue, PendingOp::wait)
+    }
+
+    /// `issue` now and `finish` at the wait (overlap on), or both at the
+    /// wait (overlap off).
+    fn deferred<'a, P: 'a, T>(
+        &self,
+        issue: impl FnOnce() -> P + 'a,
+        finish: impl FnOnce(P) -> T + 'a,
+    ) -> Deferred<'a, T> {
+        if self.overlap {
+            let pending = issue();
+            Deferred(Box::new(move || finish(pending)))
+        } else {
+            Deferred(Box::new(move || finish(issue())))
+        }
+    }
+
+    /// Request one stage's operand: member `root` of `comm` owns the
+    /// block (`block` is `Some` exactly there), whose root-side
+    /// dimensions every rank knows as `dims` (fingerprinted under
+    /// CheckMode); the rank reads rows `needed` of it. Waiting yields the
+    /// full block in dense mode and the compact `needed` rows otherwise.
+    pub(crate) fn fetch<'a>(
+        &'a self,
+        comm: &'a Communicator,
+        root: usize,
+        block: Option<Arc<Mat>>,
+        needed: &'a [usize],
+        dims: (usize, usize),
+    ) -> Deferred<'a, Arc<Mat>> {
+        // Slots are numbered in request order, which is identical on
+        // every training epoch.
+        let slot = self.cache.borrow_mut().take_slot();
+        let remote = block.is_none();
+        self.deferred(
+            move || self.issue(comm, root, block, needed, dims, slot),
+            move |fetch| {
+                let out = fetch.wait(needed);
+                // The root's own block is always served fresh, never
+                // cached.
+                if remote && self.cache_refreshing() == Some(true) {
+                    self.cache.borrow_mut().store(slot, out.clone());
+                }
+                out
+            },
+        )
+    }
+
+    /// Issue one stage fetch per the comm tier.
+    fn issue<'c>(
+        &self,
+        comm: &'c Communicator,
+        root: usize,
+        block: Option<Arc<Mat>>,
+        needed: &[usize],
+        dims: (usize, usize),
+        slot: usize,
+    ) -> Fetch<'c> {
+        match self.mode {
+            CommMode::Dense => Fetch::Dense(comm.ibcast_shared(root, block, Cat::DenseComm)),
+            CommMode::SparsityAware => {
+                Fetch::Sparse(comm.igather_rows(root, block, needed, Some(dims), Cat::DenseComm))
+            }
+            CommMode::Cached { .. } => {
+                if self.cached_serving() {
+                    Fetch::Cached(self.serve_cached(comm, block, needed, dims, slot))
+                } else if self.training {
+                    Fetch::Sparse(comm.igather_rows_refresh(
+                        root,
+                        block,
+                        needed,
+                        Some(dims),
+                        Cat::DenseComm,
+                    ))
+                } else {
+                    Fetch::Sparse(comm.igather_rows(
+                        root,
+                        block,
+                        needed,
+                        Some(dims),
+                        Cat::DenseComm,
+                    ))
+                }
+            }
+        }
+    }
+
+    /// In a training pass of the cached tier, whether it refreshes the
+    /// halo cache (`Some(true)`) or serves it (`Some(false)`); `None`
+    /// otherwise — evaluation passes always gather fresh.
+    fn cache_refreshing(&self) -> Option<bool> {
+        let cached = self.mode.cached_refresh().is_some() && self.training;
+        cached.then(|| self.cache.borrow().refreshing())
+    }
+
+    /// Whether this pass serves stage operands from the halo cache.
+    fn cached_serving(&self) -> bool {
+        self.cache_refreshing() == Some(false)
+    }
+
+    /// Serve a stage operand without any collective: the root compacts
+    /// its own block fresh (zero words, like the root of the skipped
+    /// gather); every other rank reads the cache, metering the words the
+    /// skipped gather would have moved under [`Cat::CacheHit`].
+    fn serve_cached(
+        &self,
+        comm: &Communicator,
+        block: Option<Arc<Mat>>,
+        needed: &[usize],
+        dims: (usize, usize),
+        slot: usize,
+    ) -> Arc<Mat> {
+        match block {
+            Some(own) => GatheredRows::full(own).compact(needed),
+            None => {
+                comm.cache_hit(needed.len() as u64 * (dims.1 as u64 + 1));
+                self.cache.borrow().get(slot)
+            }
+        }
+    }
+}
+
 /// Rank-local cache of the compact stage operands a trainer fetched on
 /// its last refresh epoch (`CommMode::Cached`, DESIGN.md §13). One slot
-/// per (layer, stage) — trainers compute the slot index. The
+/// per stage fetch of a training pass, numbered in request order. The
 /// refresh-vs-serve decision is taken **once per training epoch**
 /// ([`HaloCache::begin_epoch`]) and replicated across ranks (epoch
 /// counters and refresh periods are identical everywhere), so on serve
@@ -175,8 +421,10 @@ impl Fetch<'_> {
 /// aligned; on refresh epochs every rank gathers through the
 /// `*_refresh`-fingerprinted collectives.
 #[derive(Debug, Default)]
-pub(crate) struct HaloCache {
+struct HaloCache {
     slots: Vec<Option<Arc<Mat>>>,
+    /// Slot of the next stage fetch in the current pass.
+    next_slot: usize,
     /// Whether the current training epoch refreshes (gathers fresh rows)
     /// instead of serving the cache.
     refresh_now: bool,
@@ -190,7 +438,7 @@ impl HaloCache {
     /// Refresh is due when the cache has never been filled (or was
     /// invalidated) or when the periodic schedule hits: epochs `1`,
     /// `1 + refresh`, `1 + 2·refresh`, ...
-    pub(crate) fn begin_epoch(&mut self, refresh: usize, epoch: usize) {
+    fn begin_epoch(&mut self, refresh: usize, epoch: usize) {
         assert!(refresh >= 1, "CommMode::Cached refresh must be >= 1");
         self.refresh_now = !self.valid || (epoch.max(1) - 1).is_multiple_of(refresh);
         // The pass ahead repopulates every slot it will later serve, and
@@ -203,21 +451,27 @@ impl HaloCache {
 
     /// Whether the current epoch gathers fresh rows (true) or serves the
     /// cache (false). Stable for the whole pass.
-    pub(crate) fn refreshing(&self) -> bool {
+    fn refreshing(&self) -> bool {
         self.refresh_now
     }
 
     /// Drop every cached block and force the next training epoch to
     /// refresh — required whenever the precomputed needed-row sets or the
     /// adjacency may have changed (re-setup, `set_comm_mode`).
-    pub(crate) fn invalidate(&mut self) {
+    fn invalidate(&mut self) {
         self.slots.clear();
         self.valid = false;
         self.refresh_now = false;
     }
 
+    /// Number the next stage fetch of this pass.
+    fn take_slot(&mut self) -> usize {
+        self.next_slot += 1;
+        self.next_slot - 1
+    }
+
     /// Store the compact block fetched for `slot` on a refresh epoch.
-    pub(crate) fn store(&mut self, slot: usize, block: Arc<Mat>) {
+    fn store(&mut self, slot: usize, block: Arc<Mat>) {
         if self.slots.len() <= slot {
             self.slots.resize(slot + 1, None);
         }
@@ -225,7 +479,7 @@ impl HaloCache {
     }
 
     /// Serve the cached compact block for `slot`.
-    pub(crate) fn get(&self, slot: usize) -> Arc<Mat> {
+    fn get(&self, slot: usize) -> Arc<Mat> {
         match self.slots.get(slot) {
             Some(Some(b)) => b.clone(),
             _ => panic!(

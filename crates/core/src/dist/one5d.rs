@@ -33,14 +33,13 @@ use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
-use cagnet_comm::{Cat, Ctx, GatheredRows};
+use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::{log_softmax_rows, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_nt_with, matmul_tn_with, matmul_with, Mat};
 use cagnet_sparse::partition::block_ranges;
 use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
 use cagnet_sparse::Csr;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Per-rank state of the 1.5D trainer.
@@ -70,15 +69,9 @@ pub struct One5DTrainer {
     /// `needed[i']` order) for multiplying compact gathered operands.
     /// Built lazily on the first switch to sparsity-aware mode.
     at_compact: Vec<Csr>,
-    /// Dense broadcast vs sparsity-aware row exchange for the forward
-    /// stages.
-    comm_mode: super::CommMode,
-    /// Cached-mode halo cache: one slot per (layer, forward stage)
-    /// replica-group fetch (see [`super::HaloCache`]; DESIGN.md §13).
-    cache: RefCell<super::HaloCache>,
-    /// Issue-ahead pipelining: prefetch stage `i'+1`'s fine block with a
-    /// nonblocking collective while stage `i'` computes (DESIGN.md §10).
-    overlap: bool,
+    /// Comm tier, overlap, training state and halo cache of the forward
+    /// replica-group fetches (DESIGN.md §9, §10, §13).
+    stages: super::StageFetcher,
     /// Backward operand: `Aᵀ(coarse rows i, ·)` restricted to the columns
     /// of all fine blocks `≡ r (mod c)`, concatenated in team order.
     at_bwd: Csr,
@@ -88,7 +81,6 @@ pub struct One5DTrainer {
     opt: Optimizer,
     act: Activation,
     dropout: f64,
-    training: bool,
     epoch_counter: u64,
     drop_masks: Vec<Option<Mat>>,
     zs: Vec<Mat>,
@@ -190,9 +182,7 @@ impl One5DTrainer {
             at_fwd,
             needed,
             at_compact: Vec::new(),
-            comm_mode: super::CommMode::Dense,
-            cache: RefCell::new(super::HaloCache::default()),
-            overlap: true,
+            stages: super::StageFetcher::default(),
             at_bwd,
             labels: Arc::new(problem.labels.clone()),
             mask: Arc::new(problem.train_mask.clone()),
@@ -202,7 +192,6 @@ impl One5DTrainer {
             },
             act: Activation::Relu,
             dropout: 0.0,
-            training: false,
             epoch_counter: 0,
             drop_masks: Vec::new(),
             weights: cfg.init_weights(),
@@ -219,166 +208,36 @@ impl One5DTrainer {
         (self.at_fwd[ip].cols(), self.hs[l].cols())
     }
 
-    /// Cache slot of the (layer `l`, forward stage `ip`) fetch.
-    fn slot(&self, l: usize, ip: usize) -> usize {
-        l * self.p1 + ip
-    }
-
-    /// Whether the current pass serves stage operands from the halo cache
-    /// (cached mode, training, non-refresh epoch).
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `ip` of layer `l` with no replica-group collective:
-    /// the team's own fine block compacts fresh locally (zero words);
-    /// remote blocks come from the cache, metering the skipped gather's
-    /// words under [`Cat::CacheHit`].
-    fn serve_cached(&self, l: usize, ip: usize) -> Arc<Mat> {
-        if ip == self.ti {
-            GatheredRows::full(self.hs[l].clone()).compact(&self.needed[ip])
-        } else {
-            let row_words = self.hs[l].cols() as u64 + 1;
-            self.rep.cache_hit(self.needed[ip].len() as u64 * row_words);
-            self.cache.borrow().get(self.slot(l, ip))
-        }
-    }
-
-    /// Store a freshly gathered compact block on refresh epochs (remote
-    /// stages only).
-    fn maybe_store(&self, l: usize, ip: usize, block: &Arc<Mat>) {
-        if self.cached_refreshing() && ip != self.ti {
-            self.cache
-                .borrow_mut()
-                .store(self.slot(l, ip), block.clone());
-        }
-    }
-
-    /// Issue the stage-`ip` replica-group fetch of layer `l`'s fine `H`
-    /// block as a nonblocking collective (dense broadcast or
-    /// sparsity-aware row gather, per [`Self::set_comm_mode`]). In cached
-    /// mode, refresh epochs gather through the `igather_rows_refresh`
-    /// prefetch lane and serve epochs return the resident block with no
-    /// collective.
-    fn issue_fetch(&self, l: usize, ip: usize) -> super::Fetch<'_> {
-        let payload = (ip == self.ti).then(|| self.hs[l].clone());
-        match self.comm_mode {
-            super::CommMode::Dense => {
-                super::Fetch::Dense(self.rep.ibcast_shared(ip, payload, Cat::DenseComm))
-            }
-            super::CommMode::SparsityAware => super::Fetch::Sparse(self.rep.igather_rows(
-                ip,
-                payload,
-                &self.needed[ip],
-                Some(self.stage_dims(l, ip)),
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(l, ip))
-                } else if self.training {
-                    super::Fetch::Sparse(self.rep.igather_rows_refresh(
-                        ip,
-                        payload,
-                        &self.needed[ip],
-                        Some(self.stage_dims(l, ip)),
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(self.rep.igather_rows(
-                        ip,
-                        payload,
-                        &self.needed[ip],
-                        Some(self.stage_dims(l, ip)),
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        }
-    }
-
     /// Accumulate the coarse partial sum for layer `l`: replica `r`'s
-    /// stages `b ≡ r (mod c)` via replica-group broadcasts of fine `H`
-    /// blocks. With overlap on, stage `i'+1`'s block is in flight while
-    /// stage `i'`'s SpMM computes (the pending op borrows `self.rep`, so
-    /// the pipeline lives in this `&self` helper).
+    /// stages `b ≡ r (mod c)` via replica-group fetches of fine `H`
+    /// blocks.
     fn coarse_partial(&self, ctx: &Ctx, l: usize, f_in: usize) -> Mat {
         let coarse_rows = self.at_fwd[0].rows();
         let mut partial = Mat::zeros(coarse_rows, f_in);
-        let mut pending = self.overlap.then(|| self.issue_fetch(l, 0));
-        for ip in 0..self.p1 {
-            let h_b = match pending.take() {
-                Some(op) => {
-                    if ip + 1 < self.p1 {
-                        pending = Some(self.issue_fetch(l, ip + 1));
-                    }
-                    op.wait(&self.needed[ip])
-                }
-                None => {
-                    let payload = (ip == self.ti).then(|| self.hs[l].clone());
-                    match self.comm_mode {
-                        super::CommMode::Dense => {
-                            self.rep.bcast_shared(ip, payload, Cat::DenseComm)
-                        }
-                        super::CommMode::SparsityAware => self
-                            .rep
-                            .gather_rows(
-                                ip,
-                                payload,
-                                &self.needed[ip],
-                                Some(self.stage_dims(l, ip)),
-                                Cat::DenseComm,
-                            )
-                            .compact(&self.needed[ip]),
-                        super::CommMode::Cached { .. } => {
-                            if self.cached_serving() {
-                                self.serve_cached(l, ip)
-                            } else if self.training {
-                                self.rep
-                                    .gather_rows_refresh(
-                                        ip,
-                                        payload,
-                                        &self.needed[ip],
-                                        Some(self.stage_dims(l, ip)),
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(&self.needed[ip])
-                            } else {
-                                self.rep
-                                    .gather_rows(
-                                        ip,
-                                        payload,
-                                        &self.needed[ip],
-                                        Some(self.stage_dims(l, ip)),
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(&self.needed[ip])
-                            }
-                        }
-                    }
-                }
-            };
-            self.maybe_store(l, ip, &h_b);
-            // Same nnz/rows either way (compact only renumbers columns):
-            // identical charged cost and accumulation order.
-            let a = if self.comm_mode.sparse_exchange() {
-                &self.at_compact[ip]
-            } else {
-                &self.at_fwd[ip]
-            };
-            ctx.charge_spmm(a.nnz(), coarse_rows, f_in);
-            spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
-        }
+        super::run_stages(
+            self.p1,
+            |ip| {
+                self.stages.fetch(
+                    &self.rep,
+                    ip,
+                    (ip == self.ti).then(|| self.hs[l].clone()),
+                    &self.needed[ip],
+                    self.stage_dims(l, ip),
+                )
+            },
+            |ip, h_b| {
+                let h_b = h_b.wait();
+                // Same nnz/rows either way (compact only renumbers
+                // columns): identical charged cost and accumulation order.
+                let a = if self.stages.sparse_exchange() {
+                    &self.at_compact[ip]
+                } else {
+                    &self.at_fwd[ip]
+                };
+                ctx.charge_spmm(a.nnz(), coarse_rows, f_in);
+                spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
+            },
+        );
         partial
     }
 
@@ -451,8 +310,8 @@ impl One5DTrainer {
             ctx.charge_gemm(f_in, ag.rows(), f_out);
             let y_partial = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag);
             let y_op = self
-                .overlap
-                .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+                .stages
+                .defer(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
                 let mut next_g = matmul_nt_with(ctx.parallel(), &ag, &self.weights[l]);
@@ -463,10 +322,7 @@ impl One5DTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = Arc::new(next_g);
             }
-            let y = match y_op {
-                Some(op) => op.wait(),
-                None => ctx.world.allreduce_mat(&y_partial, Cat::DenseComm),
-            };
+            let y = y_op.wait();
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
         }
@@ -474,16 +330,11 @@ impl One5DTrainer {
 
     /// One epoch; returns the pre-update loss.
     pub fn epoch(&mut self, ctx: &Ctx) -> f64 {
-        self.training = true;
         self.epoch_counter += 1;
-        if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
-        }
+        self.stages.begin_epoch(self.epoch_counter);
         let loss = self.forward(ctx);
         self.backward(ctx);
-        self.training = false;
+        self.stages.end_epoch();
         loss
     }
 
@@ -508,7 +359,7 @@ impl One5DTrainer {
         c1: usize,
         h: &mut Mat,
     ) {
-        if self.training && self.dropout > 0.0 {
+        if self.stages.training() && self.dropout > 0.0 {
             let mask = crate::dropout::mask_block(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
@@ -551,8 +402,7 @@ impl One5DTrainer {
                 .map(|(a, nd)| a.compact_cols(nd))
                 .collect();
         }
-        self.cache.borrow_mut().invalidate();
-        self.comm_mode = mode;
+        self.stages.set_mode(mode);
     }
 
     /// Enable or disable communication/computation overlap (default on).
@@ -562,7 +412,7 @@ impl One5DTrainer {
     /// modeled (and wall-clock) time changes. Must be set identically on
     /// every rank.
     pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
+        self.stages.set_overlap(overlap);
     }
 
     /// Select the hidden-layer activation (default ReLU, the paper's σ;

@@ -17,14 +17,13 @@ use crate::loss::{accuracy_counts, nll_sum, output_gradient};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_comm::{Cat, Ctx, GatheredRows};
+use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::{log_softmax_rows, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_nt_with, matmul_tn_with, matmul_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
 use cagnet_sparse::Csr;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Per-rank state of the 1D trainer.
@@ -44,16 +43,9 @@ pub struct OneDimTrainer {
     /// `needed[j]` order) for multiplying compact gathered operands.
     /// Built lazily on the first switch to sparsity-aware mode.
     at_compact: Vec<Csr>,
-    /// Dense broadcast vs sparsity-aware row exchange for the forward
-    /// stages.
-    comm_mode: super::CommMode,
-    /// Cached-mode halo cache: one slot per (layer, stage) forward fetch
-    /// (see [`super::HaloCache`]; DESIGN.md §13). Interior-mutable so the
-    /// `&self` fetch helpers can store refreshed blocks.
-    cache: RefCell<super::HaloCache>,
-    /// Issue-ahead pipelining: prefetch stage `j+1`'s block with a
-    /// nonblocking collective while stage `j` computes (DESIGN.md §10).
-    overlap: bool,
+    /// Comm tier, overlap, training state and halo cache of the forward
+    /// stage fetches (DESIGN.md §9, §10, §13).
+    stages: super::StageFetcher,
     /// The full block row `Aᵀ_i` (`n_i x n`) — the CSR-of-transpose of
     /// `A`'s column block `i`, used directly by the backward outer
     /// product.
@@ -65,7 +57,6 @@ pub struct OneDimTrainer {
     opt: Optimizer,
     act: Activation,
     dropout: f64,
-    training: bool,
     epoch_counter: u64,
     drop_masks: Vec<Option<Mat>>,
     /// Stored block-row pre-activations from the last forward pass.
@@ -121,9 +112,7 @@ impl OneDimTrainer {
             at_blocks,
             needed,
             at_compact: Vec::new(),
-            comm_mode: super::CommMode::Dense,
-            cache: RefCell::new(super::HaloCache::default()),
-            overlap: true,
+            stages: super::StageFetcher::default(),
             at_row,
             labels: Arc::new(problem.labels.clone()),
             mask: Arc::new(problem.train_mask.clone()),
@@ -133,7 +122,6 @@ impl OneDimTrainer {
             },
             act: Activation::Relu,
             dropout: 0.0,
-            training: false,
             epoch_counter: 0,
             drop_masks: Vec::new(),
             weights: cfg.init_weights(),
@@ -154,95 +142,6 @@ impl OneDimTrainer {
         (self.at_blocks[j].cols(), self.hs[l].cols())
     }
 
-    /// Cache slot of the (layer `l`, stage `j`) forward fetch.
-    fn slot(&self, l: usize, j: usize) -> usize {
-        l * self.at_blocks.len() + j
-    }
-
-    /// Whether the current pass serves stage operands from the halo cache
-    /// (cached mode, training, non-refresh epoch). Evaluation forwards
-    /// always gather fresh.
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `j` of layer `l` without any collective: the rank's
-    /// own block compacts fresh from local state (zero words, like the
-    /// root of the skipped gather); remote blocks come from the cache,
-    /// metering the words the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(&self, ctx: &Ctx, l: usize, j: usize) -> Arc<Mat> {
-        if j == ctx.rank {
-            GatheredRows::full(self.hs[l].clone()).compact(&self.needed[j])
-        } else {
-            let row_words = self.hs[l].cols() as u64 + 1;
-            ctx.world.cache_hit(self.needed[j].len() as u64 * row_words);
-            self.cache.borrow().get(self.slot(l, j))
-        }
-    }
-
-    /// Store a freshly gathered compact block on refresh epochs (remote
-    /// stages only — the rank's own block is always served fresh).
-    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &Arc<Mat>) {
-        if self.cached_refreshing() && j != ctx.rank {
-            self.cache
-                .borrow_mut()
-                .store(self.slot(l, j), block.clone());
-        }
-    }
-
-    /// Issue the stage-`j` fetch of layer `l`'s activation block as a
-    /// nonblocking collective (dense broadcast or sparsity-aware row
-    /// gather, per [`Self::set_comm_mode`]). In cached mode, refresh
-    /// epochs gather through the `igather_rows_refresh` prefetch lane and
-    /// serve epochs return the resident block with no collective at all.
-    fn issue_fetch<'c>(&self, ctx: &'c Ctx, l: usize, j: usize) -> super::Fetch<'c> {
-        let payload = (j == ctx.rank).then(|| self.hs[l].clone());
-        match self.comm_mode {
-            super::CommMode::Dense => {
-                super::Fetch::Dense(ctx.world.ibcast_shared(j, payload, Cat::DenseComm))
-            }
-            super::CommMode::SparsityAware => super::Fetch::Sparse(ctx.world.igather_rows(
-                j,
-                payload,
-                &self.needed[j],
-                Some(self.stage_dims(l, j)),
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(ctx, l, j))
-                } else if self.training {
-                    super::Fetch::Sparse(ctx.world.igather_rows_refresh(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(l, j)),
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(ctx.world.igather_rows(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(l, j)),
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        }
-    }
-
     /// Forward pass (Algorithm 1 per layer); returns the global mean
     /// masked NLL loss.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
@@ -255,78 +154,35 @@ impl OneDimTrainer {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             let mut t = Mat::zeros(self.my_rows(), f_in);
-            // Issue-ahead pipeline: stage j+1's block is in flight while
-            // stage j's SpMM computes, so its α–β cost hides behind the
-            // compute lane. Every rank issues and waits in the same
-            // order, so results stay bit-identical to the blocking loop.
-            let mut pending = self.overlap.then(|| self.issue_fetch(ctx, l, 0));
-            for j in 0..p {
-                let hj = match pending.take() {
-                    Some(op) => {
-                        if j + 1 < p {
-                            pending = Some(self.issue_fetch(ctx, l, j + 1));
-                        }
-                        op.wait(&self.needed[j])
-                    }
-                    None => {
-                        // Arc clone only — the owner's resident block is
-                        // never deep-copied, root or not.
-                        let payload = (j == ctx.rank).then(|| self.hs[l].clone());
-                        match self.comm_mode {
-                            super::CommMode::Dense => {
-                                ctx.world.bcast_shared(j, payload, Cat::DenseComm)
-                            }
-                            super::CommMode::SparsityAware => ctx
-                                .world
-                                .gather_rows(
-                                    j,
-                                    payload,
-                                    &self.needed[j],
-                                    Some(self.stage_dims(l, j)),
-                                    Cat::DenseComm,
-                                )
-                                .compact(&self.needed[j]),
-                            super::CommMode::Cached { .. } => {
-                                if self.cached_serving() {
-                                    self.serve_cached(ctx, l, j)
-                                } else if self.training {
-                                    ctx.world
-                                        .gather_rows_refresh(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(l, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
-                                } else {
-                                    ctx.world
-                                        .gather_rows(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(l, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
-                                }
-                            }
-                        }
-                    }
-                };
-                self.maybe_store(ctx, l, j, &hj);
-                // The compact panel has the same nnz/rows as the full
-                // block (columns are only renumbered), so the charged
-                // SpMM cost — and the accumulation order — is identical
-                // in both modes.
-                let a = if self.comm_mode.sparse_exchange() {
-                    &self.at_compact[j]
-                } else {
-                    &self.at_blocks[j]
-                };
-                ctx.charge_spmm(a.nnz(), a.rows(), f_in);
-                spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
-            }
+            // Stage j fetches H_j (a broadcast, or the rows this rank
+            // reads), then accumulates T_i += Aᵀ_ij H_j. The owner's
+            // resident block rides in as an Arc clone, never a deep copy.
+            super::run_stages(
+                p,
+                |j| {
+                    self.stages.fetch(
+                        &ctx.world,
+                        j,
+                        (j == ctx.rank).then(|| self.hs[l].clone()),
+                        &self.needed[j],
+                        self.stage_dims(l, j),
+                    )
+                },
+                |j, hj| {
+                    let hj = hj.wait();
+                    // The compact panel has the same nnz/rows as the full
+                    // block (columns are only renumbered), so the charged
+                    // SpMM cost — and the accumulation order — is
+                    // identical in both modes.
+                    let a = if self.stages.sparse_exchange() {
+                        &self.at_compact[j]
+                    } else {
+                        &self.at_blocks[j]
+                    };
+                    ctx.charge_spmm(a.nnz(), a.rows(), f_in);
+                    spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
+                },
+            );
             let z = matmul_with(ctx.parallel(), &t, &self.weights[l]);
             ctx.charge_gemm(t.rows(), f_in, f_out);
             // In the 1D distribution H is row-partitioned, so even the
@@ -380,8 +236,8 @@ impl OneDimTrainer {
             ctx.charge_gemm(f_in, ag.rows(), f_out);
             let y_partial = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag);
             let y_op = self
-                .overlap
-                .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+                .stages
+                .defer(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
                 g = matmul_nt_with(ctx.parallel(), &ag, &self.weights[l]);
@@ -391,10 +247,7 @@ impl OneDimTrainer {
                 }
                 ctx.charge_elementwise(g.len());
             }
-            let y = match y_op {
-                Some(op) => op.wait(),
-                None => ctx.world.allreduce_mat(&y_partial, Cat::DenseComm),
-            };
+            let y = y_op.wait();
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
         }
@@ -402,16 +255,11 @@ impl OneDimTrainer {
 
     /// One epoch (forward + backward); returns the pre-update loss.
     pub fn epoch(&mut self, ctx: &Ctx) -> f64 {
-        self.training = true;
         self.epoch_counter += 1;
-        if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
-        }
+        self.stages.begin_epoch(self.epoch_counter);
         let loss = self.forward(ctx);
         self.backward(ctx);
-        self.training = false;
+        self.stages.end_epoch();
         loss
     }
 
@@ -437,7 +285,7 @@ impl OneDimTrainer {
         c1: usize,
         h: &mut Mat,
     ) {
-        if self.training && self.dropout > 0.0 {
+        if self.stages.training() && self.dropout > 0.0 {
             let mask = crate::dropout::mask_block(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
@@ -481,8 +329,7 @@ impl OneDimTrainer {
                 .map(|(a, nd)| a.compact_cols(nd))
                 .collect();
         }
-        self.cache.borrow_mut().invalidate();
-        self.comm_mode = mode;
+        self.stages.set_mode(mode);
     }
 
     /// Enable or disable communication/computation overlap (default on).
@@ -492,7 +339,7 @@ impl OneDimTrainer {
     /// modeled (and wall-clock) time changes. Must be set identically on
     /// every rank.
     pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
+        self.stages.set_overlap(overlap);
     }
 
     /// Select the hidden-layer activation (default ReLU, the paper's σ;

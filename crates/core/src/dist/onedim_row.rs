@@ -15,14 +15,13 @@ use crate::loss::{accuracy_counts, nll_sum, output_gradient};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_comm::{Cat, Ctx, GatheredRows};
+use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::{log_softmax_rows, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_nt_with, matmul_tn_with, matmul_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
 use cagnet_sparse::Csr;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Per-rank state of the row-partitioned 1D trainer.
@@ -44,22 +43,15 @@ pub struct OneDimRowTrainer {
     /// `needed[j]` order) for multiplying compact gathered operands.
     /// Built lazily on the first switch to sparsity-aware mode.
     a_compact: Vec<Csr>,
-    /// Dense broadcast vs sparsity-aware row exchange for the backward
-    /// stages.
-    comm_mode: super::CommMode,
-    /// Cached-mode halo cache: one slot per (layer, stage) backward
-    /// gradient fetch (see [`super::HaloCache`]; DESIGN.md §13).
-    cache: RefCell<super::HaloCache>,
-    /// Issue-ahead pipelining: prefetch stage `j+1`'s gradient block with
-    /// a nonblocking collective while stage `j` computes (DESIGN.md §10).
-    overlap: bool,
+    /// Comm tier, overlap, training state and halo cache of the backward
+    /// gradient fetches (DESIGN.md §9, §10, §13).
+    stages: super::StageFetcher,
     labels: Arc<Vec<usize>>,
     mask: Arc<Vec<bool>>,
     weights: Vec<Mat>,
     opt: Optimizer,
     act: Activation,
     dropout: f64,
-    training: bool,
     epoch_counter: u64,
     drop_masks: Vec<Option<Mat>>,
     zs: Vec<Mat>,
@@ -108,9 +100,7 @@ impl OneDimRowTrainer {
             a_blocks,
             needed,
             a_compact: Vec::new(),
-            comm_mode: super::CommMode::Dense,
-            cache: RefCell::new(super::HaloCache::default()),
-            overlap: true,
+            stages: super::StageFetcher::default(),
             labels: Arc::new(problem.labels.clone()),
             mask: Arc::new(problem.train_mask.clone()),
             opt: {
@@ -119,7 +109,6 @@ impl OneDimRowTrainer {
             },
             act: Activation::Relu,
             dropout: 0.0,
-            training: false,
             epoch_counter: 0,
             drop_masks: Vec::new(),
             weights: cfg.init_weights(),
@@ -133,94 +122,6 @@ impl OneDimRowTrainer {
     /// root row), fingerprinted by receivers under CheckMode.
     fn stage_dims(&self, g: &Mat, j: usize) -> (usize, usize) {
         (self.a_blocks[j].cols(), g.cols())
-    }
-
-    /// Cache slot of the (layer `l`, stage `j`) backward fetch.
-    fn slot(&self, l: usize, j: usize) -> usize {
-        l * self.a_blocks.len() + j
-    }
-
-    /// Whether the current pass serves stage operands from the halo cache
-    /// (cached mode, training, non-refresh epoch).
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `j` from the halo cache with no collective: the rank's
-    /// own gradient block compacts fresh locally (zero words); remote
-    /// blocks come from the cache, metering the skipped gather's words
-    /// under [`Cat::CacheHit`]. The served gradients are up to
-    /// `refresh − 1` epochs stale (DESIGN.md §13).
-    fn serve_cached(&self, ctx: &Ctx, g: &Arc<Mat>, l: usize, j: usize) -> Arc<Mat> {
-        if j == ctx.rank {
-            GatheredRows::full(g.clone()).compact(&self.needed[j])
-        } else {
-            let row_words = g.cols() as u64 + 1;
-            ctx.world.cache_hit(self.needed[j].len() as u64 * row_words);
-            self.cache.borrow().get(self.slot(l, j))
-        }
-    }
-
-    /// Store a freshly gathered compact block on refresh epochs (remote
-    /// stages only).
-    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &Arc<Mat>) {
-        if self.cached_refreshing() && j != ctx.rank {
-            self.cache
-                .borrow_mut()
-                .store(self.slot(l, j), block.clone());
-        }
-    }
-
-    /// Issue the stage-`j` fetch of the gradient block `G_j` as a
-    /// nonblocking collective (dense broadcast or sparsity-aware row
-    /// gather, per [`Self::set_comm_mode`]). In cached mode, refresh
-    /// epochs gather through the `igather_rows_refresh` prefetch lane and
-    /// serve epochs return the resident block with no collective.
-    fn issue_fetch<'c>(&self, ctx: &'c Ctx, g: &Arc<Mat>, l: usize, j: usize) -> super::Fetch<'c> {
-        let payload = (j == ctx.rank).then(|| g.clone());
-        match self.comm_mode {
-            super::CommMode::Dense => {
-                super::Fetch::Dense(ctx.world.ibcast_shared(j, payload, Cat::DenseComm))
-            }
-            super::CommMode::SparsityAware => super::Fetch::Sparse(ctx.world.igather_rows(
-                j,
-                payload,
-                &self.needed[j],
-                Some(self.stage_dims(g, j)),
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(ctx, g, l, j))
-                } else if self.training {
-                    super::Fetch::Sparse(ctx.world.igather_rows_refresh(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(g, j)),
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(ctx.world.igather_rows(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(g, j)),
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        }
     }
 
     /// Forward pass (outer-product formulation); returns the global mean
@@ -282,78 +183,39 @@ impl OneDimRowTrainer {
             // flight while stage j's SpMM computes (mirror of the column
             // variant's forward loop).
             let mut ag = Mat::zeros(self.a_row.rows(), f_out);
-            let mut pending = self.overlap.then(|| self.issue_fetch(ctx, &g, l, 0));
-            for j in 0..p {
-                let gj = match pending.take() {
-                    Some(op) => {
-                        if j + 1 < p {
-                            pending = Some(self.issue_fetch(ctx, &g, l, j + 1));
-                        }
-                        op.wait(&self.needed[j])
-                    }
-                    None => {
-                        let payload = (j == ctx.rank).then(|| g.clone());
-                        match self.comm_mode {
-                            super::CommMode::Dense => {
-                                ctx.world.bcast_shared(j, payload, Cat::DenseComm)
-                            }
-                            super::CommMode::SparsityAware => ctx
-                                .world
-                                .gather_rows(
-                                    j,
-                                    payload,
-                                    &self.needed[j],
-                                    Some(self.stage_dims(&g, j)),
-                                    Cat::DenseComm,
-                                )
-                                .compact(&self.needed[j]),
-                            super::CommMode::Cached { .. } => {
-                                if self.cached_serving() {
-                                    self.serve_cached(ctx, &g, l, j)
-                                } else if self.training {
-                                    ctx.world
-                                        .gather_rows_refresh(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(&g, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
-                                } else {
-                                    ctx.world
-                                        .gather_rows(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(&g, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
-                                }
-                            }
-                        }
-                    }
-                };
-                self.maybe_store(ctx, l, j, &gj);
-                // Same nnz/rows either way (compact only renumbers
-                // columns): identical charged cost and accumulation order.
-                let a = if self.comm_mode.sparse_exchange() {
-                    &self.a_compact[j]
-                } else {
-                    &self.a_blocks[j]
-                };
-                ctx.charge_spmm(a.nnz(), a.rows(), f_out);
-                spmm_acc_with(ctx.parallel(), a, &gj, &mut ag);
-            }
+            super::run_stages(
+                p,
+                |j| {
+                    self.stages.fetch(
+                        &ctx.world,
+                        j,
+                        (j == ctx.rank).then(|| g.clone()),
+                        &self.needed[j],
+                        self.stage_dims(&g, j),
+                    )
+                },
+                |j, gj| {
+                    let gj = gj.wait();
+                    // Same nnz/rows either way (compact only renumbers
+                    // columns): identical charged cost and accumulation
+                    // order.
+                    let a = if self.stages.sparse_exchange() {
+                        &self.a_compact[j]
+                    } else {
+                        &self.a_blocks[j]
+                    };
+                    ctx.charge_spmm(a.nnz(), a.rows(), f_out);
+                    spmm_acc_with(ctx.parallel(), a, &gj, &mut ag);
+                },
+            );
             // Small outer product for Y (unchanged from the column
             // variant). With overlap on, the f x f all-reduce is in
             // flight while the next layer's gradient GEMM computes.
             ctx.charge_gemm(f_in, ag.rows(), f_out);
             let y_partial = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag);
             let y_op = self
-                .overlap
-                .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+                .stages
+                .defer(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
                 let mut next_g = matmul_nt_with(ctx.parallel(), &ag, &self.weights[l]);
@@ -364,10 +226,7 @@ impl OneDimRowTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = Arc::new(next_g);
             }
-            let y = match y_op {
-                Some(op) => op.wait(),
-                None => ctx.world.allreduce_mat(&y_partial, Cat::DenseComm),
-            };
+            let y = y_op.wait();
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
         }
@@ -375,16 +234,11 @@ impl OneDimRowTrainer {
 
     /// One epoch; returns the pre-update loss.
     pub fn epoch(&mut self, ctx: &Ctx) -> f64 {
-        self.training = true;
         self.epoch_counter += 1;
-        if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
-        }
+        self.stages.begin_epoch(self.epoch_counter);
         let loss = self.forward(ctx);
         self.backward(ctx);
-        self.training = false;
+        self.stages.end_epoch();
         loss
     }
 
@@ -409,7 +263,7 @@ impl OneDimRowTrainer {
         c1: usize,
         h: &mut Mat,
     ) {
-        if self.training && self.dropout > 0.0 {
+        if self.stages.training() && self.dropout > 0.0 {
             let mask = crate::dropout::mask_block(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
@@ -452,8 +306,7 @@ impl OneDimRowTrainer {
                 .map(|(a, nd)| a.compact_cols(nd))
                 .collect();
         }
-        self.cache.borrow_mut().invalidate();
-        self.comm_mode = mode;
+        self.stages.set_mode(mode);
     }
 
     /// Enable or disable communication/computation overlap (default on).
@@ -463,7 +316,7 @@ impl OneDimRowTrainer {
     /// modeled (and wall-clock) time changes. Must be set identically on
     /// every rank.
     pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
+        self.stages.set_overlap(overlap);
     }
 
     /// Select the hidden-layer activation (default ReLU, the paper's σ;

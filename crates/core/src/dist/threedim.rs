@@ -23,14 +23,13 @@ use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::grid::int_cbrt;
-use cagnet_comm::{Cat, Ctx, GatheredRows, Grid3D};
+use cagnet_comm::{Cat, Ctx, Grid3D};
 use cagnet_dense::activation::{log_softmax_rows, softmax_rows, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Per-rank state of the 3D trainer.
@@ -67,27 +66,17 @@ pub struct ThreeDimTrainer {
     /// ranks from the balanced partition; fingerprinted by gather
     /// receivers under CheckMode).
     stage_rows: Vec<usize>,
-    /// Dense block broadcasts vs sparsity-aware row exchange for the
-    /// SUMMA stages.
-    comm_mode: super::CommMode,
-    /// Cached-mode halo cache: one slot per (layer, stage) `D` block
-    /// fetch, forward layers first, backward layers after (see
-    /// [`super::HaloCache`]; DESIGN.md §13). `S` broadcasts, partial-W
-    /// stages, and the fiber/j-group reductions are never cached.
-    /// Interior-mutable so the `&self` stage helpers can store refreshed
-    /// blocks.
-    cache: RefCell<super::HaloCache>,
-    /// Issue-ahead pipelining: prefetch the next SUMMA stage's panels
-    /// with nonblocking broadcasts while the current stage's SpMM
-    /// computes (DESIGN.md §10).
-    overlap: bool,
+    /// Comm tier, overlap, training state and halo cache of the SUMMA
+    /// stages (DESIGN.md §9, §10, §13). Only the `D` block fetches use
+    /// the comm tier and the cache; `S` broadcasts, partial-W stages and
+    /// the fiber/j-group reductions are always dense and never cached.
+    stages: super::StageFetcher,
     labels: Arc<Vec<usize>>,
     mask: Arc<Vec<bool>>,
     weights: Vec<Mat>,
     opt: Optimizer,
     act: Activation,
     dropout: f64,
-    training: bool,
     epoch_counter: u64,
     drop_masks: Vec<Option<Mat>>,
     /// Stored pre-activation blocks, shared so the output layer's block
@@ -182,9 +171,7 @@ impl ThreeDimTrainer {
             needed_fwd,
             needed_bwd,
             stage_rows,
-            comm_mode: super::CommMode::Dense,
-            cache: RefCell::new(super::HaloCache::default()),
-            overlap: true,
+            stages: super::StageFetcher::default(),
             labels: Arc::new(problem.labels.clone()),
             mask: Arc::new(problem.train_mask.clone()),
             opt: {
@@ -193,7 +180,6 @@ impl ThreeDimTrainer {
             },
             act: Activation::Relu,
             dropout: 0.0,
-            training: false,
             epoch_counter: 0,
             drop_masks: Vec::new(),
             weights: cfg.init_weights(),
@@ -217,62 +203,9 @@ impl ThreeDimTrainer {
         full: &'a Arc<Csr>,
         compact: &'a Option<Arc<Csr>>,
     ) -> &'a Arc<Csr> {
-        match (self.comm_mode.sparse_exchange(), compact) {
+        match (self.stages.sparse_exchange(), compact) {
             (true, Some(c)) => c,
             _ => full,
-        }
-    }
-
-    /// Cache slot base of layer `l`'s forward Split-3D-SpMM (`q` stage
-    /// slots per layer).
-    fn fwd_slot_base(&self, l: usize) -> usize {
-        l * self.grid.q
-    }
-
-    /// Cache slot base of layer `l`'s backward Split-3D-SpMM (after all
-    /// forward layers).
-    fn bwd_slot_base(&self, l: usize) -> usize {
-        (self.cfg.layers() + l) * self.grid.q
-    }
-
-    /// Whether the current pass serves `D` blocks from the halo cache
-    /// (cached mode, training, non-refresh epoch). Evaluation forwards
-    /// always gather fresh.
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `s`'s `D` block without any collective: the owning
-    /// mesh row compacts fresh from its resident block (zero words, like
-    /// the root of the skipped gather); other rows read the cache,
-    /// metering the words the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(&self, d_mine: &Arc<Mat>, needed: &[usize], s: usize, slot: usize) -> Arc<Mat> {
-        if self.grid.i == s {
-            GatheredRows::full(d_mine.clone()).compact(needed)
-        } else {
-            let row_words = d_mine.cols() as u64 + 1;
-            self.grid.col.cache_hit(needed.len() as u64 * row_words);
-            self.cache.borrow().get(slot)
-        }
-    }
-
-    /// Store a freshly gathered compact `D` block on refresh epochs
-    /// (blocks owned by other mesh rows only — the owner's block is
-    /// always served fresh).
-    fn maybe_store(&self, s: usize, slot: usize, block: &Arc<Mat>) {
-        if self.cached_refreshing() && self.grid.i != s {
-            self.cache.borrow_mut().store(slot, block.clone());
         }
     }
 
@@ -289,117 +222,38 @@ impl ThreeDimTrainer {
         s_mine: &Arc<Csr>,
         d_mine: &Arc<Mat>,
         needed_tbl: &[Vec<usize>],
-        slot_base: usize,
     ) -> Mat {
         let q = self.grid.q;
         let f_cols = d_mine.cols();
         let mut partial = Mat::zeros(self.at_ijk.rows(), f_cols);
-        // Issue-ahead pipeline: stage s+1's panels are in flight while
-        // stage s's SpMM computes. Arc payloads: the owner's resident
-        // block is never deep-copied into the collective.
-        let issue = |s: usize| {
-            let a_op = self.grid.row.ibcast_shared(
-                s,
-                (self.grid.j == s).then(|| s_mine.clone()),
-                Cat::SparseComm,
-            );
-            let d_payload = || (self.grid.i == s).then(|| d_mine.clone());
-            let dims = Some((self.stage_rows[s], f_cols));
-            let d_op = match self.comm_mode {
-                super::CommMode::Dense => {
-                    super::Fetch::Dense(self.grid.col.ibcast_shared(s, d_payload(), Cat::DenseComm))
-                }
-                super::CommMode::SparsityAware => super::Fetch::Sparse(self.grid.col.igather_rows(
-                    s,
-                    d_payload(),
-                    &needed_tbl[s],
-                    dims,
-                    Cat::DenseComm,
-                )),
-                super::CommMode::Cached { .. } => {
-                    if self.cached_serving() {
-                        super::Fetch::Cached(self.serve_cached(
-                            d_mine,
-                            &needed_tbl[s],
-                            s,
-                            slot_base + s,
-                        ))
-                    } else if self.training {
-                        super::Fetch::Sparse(self.grid.col.igather_rows_refresh(
-                            s,
-                            d_payload(),
-                            &needed_tbl[s],
-                            dims,
-                            Cat::DenseComm,
-                        ))
-                    } else {
-                        super::Fetch::Sparse(self.grid.col.igather_rows(
-                            s,
-                            d_payload(),
-                            &needed_tbl[s],
-                            dims,
-                            Cat::DenseComm,
-                        ))
-                    }
-                }
-            };
-            (a_op, d_op)
-        };
-        let mut pending = self.overlap.then(|| issue(0));
-        for (s, needed) in needed_tbl.iter().enumerate().take(q) {
-            let (a_hat, d_hat) = match pending.take() {
-                Some((a_op, d_op)) => {
-                    if s + 1 < q {
-                        pending = Some(issue(s + 1));
-                    }
-                    (a_op.wait(), d_op.wait(needed))
-                }
-                None => {
-                    let a_hat = self.grid.row.bcast_shared(
+        // Arc payloads: the owner's resident block is never deep-copied
+        // into the collective.
+        super::run_stages(
+            q,
+            |s| {
+                let a_op = self.stages.defer(move || {
+                    self.grid.row.ibcast_shared(
                         s,
                         (self.grid.j == s).then(|| s_mine.clone()),
                         Cat::SparseComm,
-                    );
-                    let d_payload = || (self.grid.i == s).then(|| d_mine.clone());
-                    let dims = Some((self.stage_rows[s], f_cols));
-                    let d_hat = match self.comm_mode {
-                        super::CommMode::Dense => {
-                            self.grid.col.bcast_shared(s, d_payload(), Cat::DenseComm)
-                        }
-                        super::CommMode::SparsityAware => self
-                            .grid
-                            .col
-                            .gather_rows(s, d_payload(), needed, dims, Cat::DenseComm)
-                            .compact(needed),
-                        super::CommMode::Cached { .. } => {
-                            if self.cached_serving() {
-                                self.serve_cached(d_mine, needed, s, slot_base + s)
-                            } else if self.training {
-                                self.grid
-                                    .col
-                                    .gather_rows_refresh(
-                                        s,
-                                        d_payload(),
-                                        needed,
-                                        dims,
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(needed)
-                            } else {
-                                self.grid
-                                    .col
-                                    .gather_rows(s, d_payload(), needed, dims, Cat::DenseComm)
-                                    .compact(needed)
-                            }
-                        }
-                    };
-                    (a_hat, d_hat)
-                }
-            };
-            self.maybe_store(s, slot_base + s, &d_hat);
-            ctx.charge_spmm(a_hat.nnz(), a_hat.rows(), d_hat.cols());
-            spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut partial);
-        }
+                    )
+                });
+                let d_op = self.stages.fetch(
+                    &self.grid.col,
+                    s,
+                    (self.grid.i == s).then(|| d_mine.clone()),
+                    &needed_tbl[s],
+                    (self.stage_rows[s], f_cols),
+                );
+                (a_op, d_op)
+            },
+            |_, (a_op, d_op)| {
+                let a_hat = a_op.wait();
+                let d_hat = d_op.wait();
+                ctx.charge_spmm(a_hat.nnz(), a_hat.rows(), d_hat.cols());
+                spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut partial);
+            },
+        );
         // Fiber reduction: the ∛P-replicated partials collapse into the
         // Block Split 3D distribution.
         self.grid
@@ -424,46 +278,37 @@ impl ThreeDimTrainer {
         let q = self.grid.q;
         let (oc0, oc1) = block_range(f_out, q, self.grid.j);
         let mut out = Mat::zeros(self.my_rows(), oc1 - oc0);
-        // Issue-ahead pipeline over the q broadcast stages, as in
-        // split3d_spmm. Arc payloads: my own T block is never
-        // deep-copied into the collective.
-        let issue = |s: usize| {
-            self.grid.row.ibcast_shared(
-                s,
-                (self.grid.j == s).then(|| t_mine.clone()),
-                Cat::DenseComm,
-            )
-        };
-        let mut pending = self.overlap.then(|| issue(0));
-        for s in 0..q {
-            let t_hat = match pending.take() {
-                Some(op) => {
-                    if s + 1 < q {
-                        pending = Some(issue(s + 1));
-                    }
-                    op.wait()
+        // Arc payloads: my own T block is never deep-copied into the
+        // collective.
+        super::run_stages(
+            q,
+            |s| {
+                self.stages.defer(move || {
+                    self.grid.row.ibcast_shared(
+                        s,
+                        (self.grid.j == s).then(|| t_mine.clone()),
+                        Cat::DenseComm,
+                    )
+                })
+            },
+            |s, t_hat| {
+                let t_hat = t_hat.wait();
+                let (ic0, ic1) = block_range(f_in, q, s);
+                debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
+                if ic1 == ic0 || oc1 == oc0 {
+                    return;
                 }
-                None => self.grid.row.bcast_shared(
-                    s,
-                    (self.grid.j == s).then(|| t_mine.clone()),
-                    Cat::DenseComm,
-                ),
-            };
-            let (ic0, ic1) = block_range(f_in, q, s);
-            debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
-            if ic1 == ic0 || oc1 == oc0 {
-                continue;
-            }
-            ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
-            if transpose_w {
-                let w_slice = w.block(oc0, oc1, ic0, ic1);
-                let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
-                cagnet_dense::ops::add_assign(&mut out, &add);
-            } else {
-                let w_slice = w.block(ic0, ic1, oc0, oc1);
-                matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
-            }
-        }
+                ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
+                if transpose_w {
+                    let w_slice = w.block(oc0, oc1, ic0, ic1);
+                    let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
+                    cagnet_dense::ops::add_assign(&mut out, &add);
+                } else {
+                    let w_slice = w.block(ic0, ic1, oc0, oc1);
+                    matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
+                }
+            },
+        );
         out
     }
 
@@ -482,7 +327,6 @@ impl ThreeDimTrainer {
                 self.bcast_block(&self.at_ijk, &self.at_compact),
                 &self.hs[l],
                 &self.needed_fwd,
-                self.fwd_slot_base(l),
             ));
             let z = Arc::new(self.partial_w(ctx, &t, &self.weights[l], f_in, f_out, false));
             let h = if l + 1 == l_total {
@@ -553,7 +397,6 @@ impl ThreeDimTrainer {
                 self.bcast_block(&self.a_ijk, &self.a_compact),
                 &g,
                 &self.needed_bwd,
-                self.bwd_slot_base(l),
             );
             let parts = self.grid.row.allgather_shared(Arc::new(ag), Cat::DenseComm);
             let ag_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
@@ -568,8 +411,8 @@ impl ThreeDimTrainer {
             // no &mut self is needed while the op borrows the jgroup.
             let drop_mask = (l > 0).then(|| self.drop_masks[l - 1].take()).flatten();
             let y_op = self
-                .overlap
-                .then(|| self.jgroup.iallreduce_mat(&y_local, Cat::DenseComm));
+                .stages
+                .defer(|| self.jgroup.iallreduce_mat(&y_local, Cat::DenseComm));
             if l > 0 {
                 let (jc0, jc1) = block_range(f_in, self.grid.q, self.grid.j);
                 let w_slice = self.weights[l].block(jc0, jc1, 0, f_out);
@@ -582,10 +425,7 @@ impl ThreeDimTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = Arc::new(next_g);
             }
-            let y_j = match y_op {
-                Some(op) => op.wait(),
-                None => self.jgroup.allreduce_mat(&y_local, Cat::DenseComm),
-            };
+            let y_j = y_op.wait();
             let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
             let y = Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
             debug_assert_eq!(y.shape(), (f_in, f_out));
@@ -596,16 +436,11 @@ impl ThreeDimTrainer {
 
     /// One epoch; returns the pre-update loss.
     pub fn epoch(&mut self, ctx: &Ctx) -> f64 {
-        self.training = true;
         self.epoch_counter += 1;
-        if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
-        }
+        self.stages.begin_epoch(self.epoch_counter);
         let loss = self.forward(ctx);
         self.backward(ctx);
-        self.training = false;
+        self.stages.end_epoch();
         loss
     }
 
@@ -629,7 +464,7 @@ impl ThreeDimTrainer {
         c1: usize,
         h: &mut Mat,
     ) {
-        if self.training && self.dropout > 0.0 {
+        if self.stages.training() && self.dropout > 0.0 {
             let mask = crate::dropout::mask_block(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
@@ -671,7 +506,7 @@ impl ThreeDimTrainer {
     /// either way — only modeled (and wall-clock) time changes. Must be
     /// set identically on every rank.
     pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
+        self.stages.set_overlap(overlap);
     }
 
     /// Select how Split-3D-SpMM stages move the dense operand. Under
@@ -687,8 +522,7 @@ impl ThreeDimTrainer {
     /// every rank. Always drops any halo cache, so a mode change (or
     /// re-set after mutating state) can never serve stale blocks.
     pub fn set_comm_mode(&mut self, mode: super::CommMode) {
-        self.cache.borrow_mut().invalidate();
-        self.comm_mode = mode;
+        self.stages.set_mode(mode);
         if mode.sparse_exchange() {
             if self.at_compact.is_none() {
                 self.at_compact = Some(Arc::new(

@@ -34,14 +34,13 @@ use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::grid::int_sqrt;
-use cagnet_comm::{Cat, Ctx, GatheredRows, Grid2D, PendingOp};
+use cagnet_comm::{Cat, Ctx, Grid2D};
 use cagnet_dense::activation::{log_softmax_rows, softmax_rows, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Tuning knobs of the 2D trainer.
@@ -93,26 +92,17 @@ pub struct TwoDimTrainer {
     needed_fwd: Vec<Vec<usize>>,
     /// Same, from the `A` panels of the backward SUMMA.
     needed_bwd: Vec<Vec<usize>>,
-    /// Dense panel broadcasts vs sparsity-aware row exchange for the
-    /// SUMMA stages.
-    comm_mode: super::CommMode,
-    /// Cached-mode halo cache: one slot per (layer, SUMMA stage) `D`
-    /// panel fetch, forward layers first, backward layers after (see
-    /// [`super::HaloCache`]; DESIGN.md §13). `S` panels (adjacency) and
-    /// the partial-W/reduction stages are never cached. Interior-mutable
-    /// so the `&self` stage helpers can store refreshed panels.
-    cache: RefCell<super::HaloCache>,
-    /// Issue-ahead pipelining: prefetch the next SUMMA stage's panels
-    /// with nonblocking broadcasts while the current stage's SpMM
-    /// computes (DESIGN.md §10).
-    overlap: bool,
+    /// Comm tier, overlap, training state and halo cache of the SUMMA
+    /// stages (DESIGN.md §9, §10, §13). Only the `D` panel fetches use
+    /// the comm tier and the cache; `S` panels, partial-W stages and
+    /// reductions are always dense and never cached.
+    stages: super::StageFetcher,
     labels: Arc<Vec<usize>>,
     mask: Arc<Vec<bool>>,
     weights: Vec<Mat>,
     opt: Optimizer,
     act: Activation,
     dropout: f64,
-    training: bool,
     epoch_counter: u64,
     drop_masks: Vec<Option<Mat>>,
     /// Stored pre-activation blocks from the last forward pass, shared
@@ -246,9 +236,7 @@ impl TwoDimTrainer {
             a_ij,
             needed_fwd,
             needed_bwd,
-            comm_mode: super::CommMode::Dense,
-            cache: RefCell::new(super::HaloCache::default()),
-            overlap: true,
+            stages: super::StageFetcher::default(),
             labels: Arc::new(problem.labels.clone()),
             mask: Arc::new(problem.train_mask.clone()),
             opt: {
@@ -257,7 +245,6 @@ impl TwoDimTrainer {
             },
             act: Activation::Relu,
             dropout: 0.0,
-            training: false,
             epoch_counter: 0,
             drop_masks: Vec::new(),
             weights: cfg.init_weights(),
@@ -272,167 +259,13 @@ impl TwoDimTrainer {
         self.r1 - self.r0
     }
 
-    /// Cache slot base of layer `l`'s forward SUMMA (`K·sub` slots per
-    /// layer, one per `(k, t)` stage).
-    fn fwd_slot_base(&self, l: usize) -> usize {
-        l * self.fine.len() * self.tcfg.stages_per_block
-    }
-
-    /// Cache slot base of layer `l`'s backward SUMMA (after all forward
-    /// layers).
-    fn bwd_slot_base(&self, l: usize) -> usize {
-        (self.cfg.layers() + l) * self.fine.len() * self.tcfg.stages_per_block
-    }
-
-    /// Whether the current pass serves `D` panels from the halo cache
-    /// (cached mode, training, non-refresh epoch). Evaluation forwards
-    /// always gather fresh.
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered panels into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve a stage `D` panel without any collective: the owning grid
-    /// row compacts fresh from its local block for SUMMA stage
-    /// `(fk0, t0, t1)` (zero words, like the root of the skipped
-    /// gather); other grid rows read the cache, metering the words
-    /// the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(
-        &self,
-        d_mine: &Mat,
-        needed: &[usize],
-        owner_row: usize,
-        stage: (usize, usize, usize),
-        slot: usize,
-    ) -> Arc<Mat> {
-        let (fk0, t0, t1) = stage;
-        if self.grid.i == owner_row {
-            let lo = fk0 - self.r0;
-            GatheredRows::full(Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols())))
-                .compact(needed)
-        } else {
-            let row_words = d_mine.cols() as u64 + 1;
-            self.grid.col.cache_hit(needed.len() as u64 * row_words);
-            self.cache.borrow().get(slot)
-        }
-    }
-
-    /// Store a freshly gathered compact `D` panel on refresh epochs
-    /// (panels owned by other grid rows only — the owner's panel is
-    /// always served fresh).
-    fn maybe_store(&self, owner_row: usize, slot: usize, panel: &Arc<Mat>) {
-        if self.cached_refreshing() && self.grid.i != owner_row {
-            self.cache.borrow_mut().store(slot, panel.clone());
-        }
-    }
-
-    /// Issue SUMMA stage `(k, t)`'s two panel exchanges (the `S` panel
-    /// along the process row, the `D` panel along the process column) as
-    /// nonblocking collectives. In sparsity-aware mode the owner serves
-    /// the column-compacted `S` panel (same nnz — identical SparseComm
-    /// words) and the `D` panel moves as a row gather of each grid row's
-    /// needed rows instead of a full broadcast.
-    #[allow(clippy::type_complexity)]
-    fn issue_summa_stage<'s>(
-        &'s self,
-        s_mine: &Csr,
-        d_mine: &Mat,
-        needed_tbl: &[Vec<usize>],
-        slot_base: usize,
-        k: usize,
-        t: usize,
-    ) -> (PendingOp<'s, Arc<Csr>>, super::Fetch<'s>) {
-        let k_total = self.fine.len();
-        let owner_col = k / (k_total / self.grid.pc);
-        let owner_row = k / (k_total / self.grid.pr);
-        let (fk0, fk1) = self.fine[k];
-        let sub = self.tcfg.stages_per_block;
-        let (t0, t1) = block_range(fk1 - fk0, sub, t);
-        let needed = &needed_tbl[k * sub + t];
-        let a_op = self.grid.row.ibcast(
-            owner_col,
-            (self.grid.j == owner_col).then(|| {
-                // Local slice of my Aᵀ block covering fine stage k.
-                let lo = fk0 - self.c0;
-                let panel = s_mine.block(0, s_mine.rows(), lo + t0, lo + t1);
-                if self.comm_mode.sparse_exchange() {
-                    panel.compact_cols(needed)
-                } else {
-                    panel
-                }
-            }),
-            Cat::SparseComm,
-        );
-        let d_payload = || {
-            (self.grid.i == owner_row).then(|| {
-                let lo = fk0 - self.r0;
-                Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols()))
-            })
-        };
-        let dims = Some((t1 - t0, d_mine.cols()));
-        let d_op = match self.comm_mode {
-            super::CommMode::Dense => super::Fetch::Dense(self.grid.col.ibcast(
-                owner_row,
-                (self.grid.i == owner_row).then(|| {
-                    let lo = fk0 - self.r0;
-                    d_mine.block(lo + t0, lo + t1, 0, d_mine.cols())
-                }),
-                Cat::DenseComm,
-            )),
-            super::CommMode::SparsityAware => super::Fetch::Sparse(self.grid.col.igather_rows(
-                owner_row,
-                d_payload(),
-                needed,
-                dims,
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(
-                        d_mine,
-                        needed,
-                        owner_row,
-                        (fk0, t0, t1),
-                        slot_base + k * sub + t,
-                    ))
-                } else if self.training {
-                    super::Fetch::Sparse(self.grid.col.igather_rows_refresh(
-                        owner_row,
-                        d_payload(),
-                        needed,
-                        dims,
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(self.grid.col.igather_rows(
-                        owner_row,
-                        d_payload(),
-                        needed,
-                        dims,
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        };
-        (a_op, d_op)
-    }
-
     /// SUMMA SpMM: `out_ij += Σ_k SPMM(S(:, fine k), D(fine k, :))` over
     /// the `K` fine stages, each owned by one grid column (the `S` panel)
     /// and one grid row (the `D` panel). Sub-blocked into
-    /// `stages_per_block` panels per fine stage. With overlap on, the
-    /// next stage's panels are in flight while the current stage's SpMM
-    /// computes.
+    /// `stages_per_block` panels per fine stage. In sparsity-aware mode
+    /// the owner serves the column-compacted `S` panel (same nnz —
+    /// identical SparseComm words) and the `D` panel moves as a row
+    /// gather of each grid row's needed rows instead of a full broadcast.
     fn summa_spmm(
         &self,
         ctx: &Ctx,
@@ -440,124 +273,61 @@ impl TwoDimTrainer {
         d_mine: &Mat,
         f_cols: usize,
         needed_tbl: &[Vec<usize>],
-        slot_base: usize,
     ) -> Mat {
         let k_total = self.fine.len();
         let col_per = k_total / self.grid.pc;
         let row_per = k_total / self.grid.pr;
         let sub = self.tcfg.stages_per_block;
         let mut out = Mat::zeros(self.my_rows(), f_cols);
-        let stages: Vec<(usize, usize)> = (0..k_total)
-            .flat_map(|k| (0..sub).map(move |t| (k, t)))
-            .collect();
-        let mut pending = self.overlap.then(|| {
-            self.issue_summa_stage(
-                s_mine,
-                d_mine,
-                needed_tbl,
-                slot_base,
-                stages[0].0,
-                stages[0].1,
-            )
-        });
-        for (idx, &(k, t)) in stages.iter().enumerate() {
-            let needed = &needed_tbl[k * sub + t];
-            let (a_panel, d_panel) = match pending.take() {
-                Some((a_op, d_op)) => {
-                    if let Some(&(nk, nt)) = stages.get(idx + 1) {
-                        pending = Some(
-                            self.issue_summa_stage(s_mine, d_mine, needed_tbl, slot_base, nk, nt),
-                        );
-                    }
-                    (a_op.wait(), d_op.wait(needed))
-                }
-                None => {
-                    let owner_col = k / col_per;
-                    let owner_row = k / row_per;
-                    let (fk0, fk1) = self.fine[k];
-                    let (t0, t1) = block_range(fk1 - fk0, sub, t);
-                    let a_panel = self.grid.row.bcast(
+        super::run_stages(
+            k_total * sub,
+            |st| {
+                let (k, t) = (st / sub, st % sub);
+                let (owner_col, owner_row) = (k / col_per, k / row_per);
+                let (fk0, fk1) = self.fine[k];
+                let (t0, t1) = block_range(fk1 - fk0, sub, t);
+                let needed = &needed_tbl[st];
+                let a_op = self.stages.defer(move || {
+                    self.grid.row.ibcast(
                         owner_col,
                         (self.grid.j == owner_col).then(|| {
                             // Local slice of my Aᵀ block covering fine
                             // stage k.
                             let lo = fk0 - self.c0;
                             let panel = s_mine.block(0, s_mine.rows(), lo + t0, lo + t1);
-                            if self.comm_mode.sparse_exchange() {
+                            if self.stages.sparse_exchange() {
                                 panel.compact_cols(needed)
                             } else {
                                 panel
                             }
                         }),
                         Cat::SparseComm,
-                    );
-                    let d_payload = || {
-                        (self.grid.i == owner_row).then(|| {
-                            let lo = fk0 - self.r0;
-                            Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols()))
-                        })
-                    };
-                    let dims = Some((t1 - t0, d_mine.cols()));
-                    let d_panel = match self.comm_mode {
-                        super::CommMode::Dense => self.grid.col.bcast(
-                            owner_row,
-                            (self.grid.i == owner_row).then(|| {
-                                let lo = fk0 - self.r0;
-                                d_mine.block(lo + t0, lo + t1, 0, d_mine.cols())
-                            }),
-                            Cat::DenseComm,
-                        ),
-                        super::CommMode::SparsityAware => self
-                            .grid
-                            .col
-                            .gather_rows(owner_row, d_payload(), needed, dims, Cat::DenseComm)
-                            .compact(needed),
-                        super::CommMode::Cached { .. } => {
-                            if self.cached_serving() {
-                                self.serve_cached(
-                                    d_mine,
-                                    needed,
-                                    owner_row,
-                                    (fk0, t0, t1),
-                                    slot_base + k * sub + t,
-                                )
-                            } else if self.training {
-                                self.grid
-                                    .col
-                                    .gather_rows_refresh(
-                                        owner_row,
-                                        d_payload(),
-                                        needed,
-                                        dims,
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(needed)
-                            } else {
-                                self.grid
-                                    .col
-                                    .gather_rows(
-                                        owner_row,
-                                        d_payload(),
-                                        needed,
-                                        dims,
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(needed)
-                            }
-                        }
-                    };
-                    (a_panel, d_panel)
-                }
-            };
-            self.maybe_store(k / row_per, slot_base + k * sub + t, &d_panel);
-            // In sparse mode both panels are compact: the S panel's
-            // columns are renumbered to needed order (same nnz/rows) and
-            // the D panel holds exactly those rows, so the accumulation
-            // order — and the charged cost — matches dense mode bit for
-            // bit.
-            ctx.charge_spmm(a_panel.nnz(), a_panel.rows(), d_panel.cols());
-            spmm_acc_with(ctx.parallel(), &a_panel, &d_panel, &mut out);
-        }
+                    )
+                });
+                let d_op = self.stages.fetch(
+                    &self.grid.col,
+                    owner_row,
+                    (self.grid.i == owner_row).then(|| {
+                        let lo = fk0 - self.r0;
+                        Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols()))
+                    }),
+                    needed,
+                    (t1 - t0, d_mine.cols()),
+                );
+                (a_op, d_op)
+            },
+            |_, (a_op, d_op)| {
+                let a_panel = a_op.wait();
+                let d_panel = d_op.wait();
+                // In sparse mode both panels are compact: the S panel's
+                // columns are renumbered to needed order (same nnz/rows)
+                // and the D panel holds exactly those rows, so the
+                // accumulation order — and the charged cost — matches
+                // dense mode bit for bit.
+                ctx.charge_spmm(a_panel.nnz(), a_panel.rows(), d_panel.cols());
+                spmm_acc_with(ctx.parallel(), &a_panel, &d_panel, &mut out);
+            },
+        );
         out
     }
 
@@ -579,47 +349,38 @@ impl TwoDimTrainer {
         let pc = self.grid.pc;
         let (oc0, oc1) = block_range(f_out, pc, self.grid.j);
         let mut out = Mat::zeros(self.my_rows(), oc1 - oc0);
-        // Issue-ahead pipeline over the pc broadcast stages, as in
-        // summa_spmm. Arc payloads: my own T block is never deep-copied
-        // into the collective.
-        let issue = |s: usize| {
-            self.grid.row.ibcast_shared(
-                s,
-                (self.grid.j == s).then(|| t_mine.clone()),
-                Cat::DenseComm,
-            )
-        };
-        let mut pending = self.overlap.then(|| issue(0));
-        for s in 0..pc {
-            let t_hat = match pending.take() {
-                Some(op) => {
-                    if s + 1 < pc {
-                        pending = Some(issue(s + 1));
-                    }
-                    op.wait()
+        // Arc payloads: my own T block is never deep-copied into the
+        // collective.
+        super::run_stages(
+            pc,
+            |s| {
+                self.stages.defer(move || {
+                    self.grid.row.ibcast_shared(
+                        s,
+                        (self.grid.j == s).then(|| t_mine.clone()),
+                        Cat::DenseComm,
+                    )
+                })
+            },
+            |s, t_hat| {
+                let t_hat = t_hat.wait();
+                let (ic0, ic1) = block_range(f_in, pc, s);
+                debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
+                if ic1 == ic0 || oc1 == oc0 {
+                    return;
                 }
-                None => self.grid.row.bcast_shared(
-                    s,
-                    (self.grid.j == s).then(|| t_mine.clone()),
-                    Cat::DenseComm,
-                ),
-            };
-            let (ic0, ic1) = block_range(f_in, pc, s);
-            debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
-            if ic1 == ic0 || oc1 == oc0 {
-                continue;
-            }
-            ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
-            if transpose_w {
-                // out += t_hat · (W[oc, ic])ᵀ
-                let w_slice = w.block(oc0, oc1, ic0, ic1);
-                let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
-                cagnet_dense::ops::add_assign(&mut out, &add);
-            } else {
-                let w_slice = w.block(ic0, ic1, oc0, oc1);
-                matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
-            }
-        }
+                ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
+                if transpose_w {
+                    // out += t_hat · (W[oc, ic])ᵀ
+                    let w_slice = w.block(oc0, oc1, ic0, ic1);
+                    let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
+                    cagnet_dense::ops::add_assign(&mut out, &add);
+                } else {
+                    let w_slice = w.block(ic0, ic1, oc0, oc1);
+                    matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
+                }
+            },
+        );
         out
     }
 
@@ -640,7 +401,6 @@ impl TwoDimTrainer {
                 &self.hs[l],
                 self.hs[l].cols(),
                 &self.needed_fwd,
-                self.fwd_slot_base(l),
             ));
             // Phase 2: Z = T W (partial SUMMA; W replicated).
             let z = Arc::new(self.partial_summa_w(ctx, &t, &self.weights[l], f_in, f_out, false));
@@ -714,14 +474,7 @@ impl TwoDimTrainer {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             // SUMMA SpMM: AG = A G (saved and reused, §IV-C.4).
-            let ag = self.summa_spmm(
-                ctx,
-                &self.a_ij,
-                &g,
-                g.cols(),
-                &self.needed_bwd,
-                self.bwd_slot_base(l),
-            );
+            let ag = self.summa_spmm(ctx, &self.a_ij, &g, g.cols(), &self.needed_bwd);
             // Row all-gather of AG: serves both Y and A G Wᵀ. The local
             // block moves into the collective, not a copy of it.
             let parts = self.grid.row.allgather_shared(Arc::new(ag), Cat::DenseComm);
@@ -738,8 +491,8 @@ impl TwoDimTrainer {
             // no &mut self is needed while the op borrows the grid.
             let drop_mask = (l > 0).then(|| self.drop_masks[l - 1].take()).flatten();
             let y_op = self
-                .overlap
-                .then(|| self.grid.col.iallreduce_mat(&y_local, Cat::DenseComm));
+                .stages
+                .defer(|| self.grid.col.iallreduce_mat(&y_local, Cat::DenseComm));
             if l > 0 {
                 // G^{l-1} = A G (W^l)ᵀ ⊙ σ'(Z^{l-1}): local against
                 // replicated W using the already-gathered AG row slab.
@@ -753,10 +506,7 @@ impl TwoDimTrainer {
                 }
                 ctx.charge_elementwise(g.len());
             }
-            let y_j = match y_op {
-                Some(op) => op.wait(),
-                None => self.grid.col.allreduce_mat(&y_local, Cat::DenseComm),
-            };
+            let y_j = y_op.wait();
             let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
             let y = Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
             debug_assert_eq!(y.shape(), (f_in, f_out));
@@ -767,16 +517,11 @@ impl TwoDimTrainer {
 
     /// One epoch; returns the pre-update loss.
     pub fn epoch(&mut self, ctx: &Ctx) -> f64 {
-        self.training = true;
         self.epoch_counter += 1;
-        if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
-        }
+        self.stages.begin_epoch(self.epoch_counter);
         let loss = self.forward(ctx);
         self.backward(ctx);
-        self.training = false;
+        self.stages.end_epoch();
         loss
     }
 
@@ -800,7 +545,7 @@ impl TwoDimTrainer {
         c1: usize,
         h: &mut Mat,
     ) {
-        if self.training && self.dropout > 0.0 {
+        if self.stages.training() && self.dropout > 0.0 {
             let mask = crate::dropout::mask_block(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
@@ -848,8 +593,7 @@ impl TwoDimTrainer {
     /// cache, so a mode change (or re-set after mutating state) can
     /// never serve stale panels.
     pub fn set_comm_mode(&mut self, mode: super::CommMode) {
-        self.cache.borrow_mut().invalidate();
-        self.comm_mode = mode;
+        self.stages.set_mode(mode);
     }
 
     /// Enable or disable communication/computation overlap (default on).
@@ -859,7 +603,7 @@ impl TwoDimTrainer {
     /// either way — only modeled (and wall-clock) time changes. Must be
     /// set identically on every rank.
     pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
+        self.stages.set_overlap(overlap);
     }
 
     /// Select the optimizer (replicated state; no communication). Resets

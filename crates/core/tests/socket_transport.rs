@@ -156,6 +156,11 @@ fn threed_sparsity_aware_p8() {
     assert_bit_identical(Algorithm::ThreeD, 8, CommMode::SparsityAware, true);
 }
 
+#[test]
+fn threed_sparsity_aware_p8_no_overlap() {
+    assert_bit_identical(Algorithm::ThreeD, 8, CommMode::SparsityAware, false);
+}
+
 // ------------------------------------------------------------------
 // Degenerate world: P=1 never spawns processes but must still work
 // through the socket-configured path.

@@ -64,7 +64,11 @@ fn dense_words(r: &DistTrainResult) -> u64 {
 fn overlap_is_bit_identical_and_never_slower() {
     let (problem, cfg) = problem();
     for p in [1usize, 2, 4, 8] {
-        for mode in [CommMode::Dense, CommMode::SparsityAware] {
+        for mode in [
+            CommMode::Dense,
+            CommMode::SparsityAware,
+            CommMode::Cached { refresh: 2 },
+        ] {
             for algo in algorithms(p) {
                 let off = train_distributed(
                     &problem,
