@@ -1,6 +1,13 @@
 //! Distributed GCN training algorithms — the paper's §IV.
 //!
-//! Four algorithms, one module each:
+//! Every algorithm runs the same epoch — forward, masked-NLL loss,
+//! backward, replicated weight update — so there is one trainer,
+//! [`DistTrainer`], whose shell (module `shell`) owns the training state,
+//! the setters, the forward layer loop and the global loss and accuracy
+//! reductions. Each algorithm is a *layout* of that shell: a module
+//! holding only its data distribution and stage compute, and exporting
+//! its trainer as an alias (`OneDimTrainer = DistTrainer<OneDimLayout>`,
+//! ...) with its own `setup`:
 //!
 //! * [`onedim`] — 1D block-row (Algorithm 1): `A` by block columns, `H`/`G`
 //!   by block rows, `W` replicated. Forward is a block-row SpMM over `P`
@@ -20,20 +27,31 @@
 //!   analyzes but does not implement this algorithm; here it is
 //!   implemented and verified.
 //!
-//! All four produce the same weights and embeddings as the serial
-//! reference up to floating-point accumulation order, for any process
-//! count that fits their geometry.
+//! Every stage fetch runs through one `StageFetcher` pipeline
+//! (DESIGN.md §10). The three row layouts share the end of each backward
+//! layer, and the two grid layouts the partial-W SUMMA and the
+//! row-gathered output layer, all defined here. All five produce the
+//! same weights and embeddings as the serial reference up to
+//! floating-point accumulation order, for any process count that fits
+//! their geometry.
 
 pub mod one5d;
 pub mod onedim;
 pub mod onedim_row;
+mod shell;
 pub mod threedim;
 pub mod transpose;
 pub mod twodim;
 
+pub use shell::DistTrainer;
+pub(crate) use shell::{Layout, TrainState};
+
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
-use cagnet_dense::Mat;
+use cagnet_dense::activation::{log_softmax_rows, softmax_rows};
+use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
+use cagnet_sparse::partition::block_range;
+use cagnet_sparse::Csr;
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt;
@@ -494,8 +512,8 @@ impl HaloCache {
 /// Trainers seed `hs` with the feature block at construction, so this
 /// cannot fail after `setup`; the message covers direct misuse. Generic
 /// over the storage: plain `Mat` stacks and the `Arc<Mat>` stacks the
-/// broadcast-based trainers keep (so their own block rides into
-/// collectives without a copy) both work.
+/// distributed trainers keep (so their own block rides into collectives
+/// without a copy) both work.
 pub(crate) fn output_block<M: Borrow<Mat>>(hs: &[M]) -> &Mat {
     match hs.last() {
         Some(h) => h.borrow(),
@@ -510,6 +528,162 @@ pub(crate) fn output_block_shared(hs: &[Arc<Mat>]) -> Arc<Mat> {
         Some(h) => h.clone(),
         None => panic!("no stored activations: run setup/forward first"),
     }
+}
+
+/// Column-compacted copies of a row-distributed layout's stage panels
+/// (columns renumbered to each stage's `needed` order) for multiplying
+/// compact gathered operands.
+fn compacted(blocks: &[Csr], needed: &[Vec<usize>]) -> Vec<Csr> {
+    blocks
+        .iter()
+        .zip(needed)
+        .map(|(a, nd)| a.compact_cols(nd))
+        .collect()
+}
+
+/// The end of one backward layer in the row-distributed layouts (1D,
+/// 1D-row, 1.5D), given my block row `ag` of `A G^l`: the small outer
+/// product `Y = (H^{l-1})ᵀ (A G)` all-reduced over the world (§IV-A.4),
+/// the replicated weight update, and for `l > 0` the next gradient
+/// `G^{l-1} = (A G) (W^l)ᵀ ⊙ σ'(Z^{l-1})`, which it returns. With overlap
+/// on, the `f x f` all-reduce is in flight while that gradient GEMM
+/// computes; the update only needs `Y` afterwards.
+fn row_backward_step(s: &mut TrainState, ctx: &Ctx, l: usize, ag: &Mat) -> Option<Mat> {
+    let (f_in, f_out) = s.weights[l].shape();
+    ctx.charge_gemm(f_in, ag.rows(), f_out);
+    let y_partial = matmul_tn_with(ctx.parallel(), &s.hs[l], ag);
+    let y_op = s
+        .stages
+        .defer(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+    let next = (l > 0).then(|| {
+        ctx.charge_gemm(ag.rows(), f_out, f_in);
+        let mut g = matmul_nt_with(ctx.parallel(), ag, &s.weights[l]);
+        s.activation_grad(ctx, l, &mut g);
+        g
+    });
+    s.step(ctx, l, &y_op.wait());
+    next
+}
+
+/// All-gather `block` along a grid layout's process `row` and join the
+/// pieces side by side into full-width rows.
+fn hstack_row(row: &Communicator, block: Arc<Mat>) -> Mat {
+    let parts = row.allgather_shared(block, Cat::DenseComm);
+    Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>())
+}
+
+/// Partial SUMMA against the replicated `W` on a grid layout's process
+/// `row`, where this rank is member `j` (§IV-C.1, §IV-D.1):
+/// `out += Σ_s T_s · W[in-block s, out-block j]`, member `s` owning
+/// `T_s`. These stages stay dense broadcasts in every [`CommMode`]: the
+/// stage GEMM reads *all* rows of the broadcast `T` block, so a row
+/// gather would request every row and only add the per-row index words.
+fn partial_summa_w(
+    stages: &StageFetcher,
+    ctx: &Ctx,
+    row: &Communicator,
+    j: usize,
+    t_mine: &Arc<Mat>,
+    w: &Mat,
+) -> Mat {
+    let parts = row.size();
+    let (f_in, f_out) = w.shape();
+    let (oc0, oc1) = block_range(f_out, parts, j);
+    let mut out = Mat::zeros(t_mine.rows(), oc1 - oc0);
+    // Arc payloads: my own T block is never deep-copied into the
+    // collective.
+    run_stages(
+        parts,
+        |s| {
+            stages.defer(move || {
+                row.ibcast_shared(s, (j == s).then(|| t_mine.clone()), Cat::DenseComm)
+            })
+        },
+        |s, t_hat| {
+            let t_hat = t_hat.wait();
+            let (ic0, ic1) = block_range(f_in, parts, s);
+            debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
+            if ic1 == ic0 || oc1 == oc0 {
+                return;
+            }
+            ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
+            let w_slice = w.block(ic0, ic1, oc0, oc1);
+            matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
+        },
+    );
+    out
+}
+
+/// The output layer of a grid layout (2D, 3D), whose dense blocks split
+/// the feature columns: `log_softmax` is not elementwise, so each
+/// process row all-gathers its `Z^L` blocks into full-width rows first
+/// (§IV-C.2, §IV-D.2).
+struct RowOutput {
+    /// Full-width output log-probabilities of my rows (valid after
+    /// forward; identical across a process row), shared so
+    /// `gather_embeddings` moves it without a copy.
+    h: Arc<Mat>,
+    /// Full-width output softmax of my rows (for `G^L`).
+    p: Mat,
+}
+
+impl Default for RowOutput {
+    fn default() -> Self {
+        RowOutput {
+            h: Arc::new(Mat::zeros(0, 0)),
+            p: Mat::zeros(0, 0),
+        }
+    }
+}
+
+impl RowOutput {
+    /// Compute the full-width output rows from my `Z^L` block, as member
+    /// `j` of the process `row`, and return my column block of `H^L`.
+    fn forward(&mut self, ctx: &Ctx, row: &Communicator, j: usize, z: &Arc<Mat>) -> Mat {
+        let z_row = hstack_row(row, z.clone());
+        ctx.charge_elementwise(2 * z_row.len());
+        self.h = Arc::new(log_softmax_rows(&z_row));
+        self.p = softmax_rows(&z_row);
+        let (oc0, oc1) = block_range(z_row.cols(), row.size(), j);
+        self.h.block(0, z_row.rows(), oc0, oc1)
+    }
+
+    /// My columns `cols` of the output gradient
+    /// `G^L = (softmax − onehot) / train_count` on masked rows, my first
+    /// row being global vertex `r0`.
+    fn gradient(&self, s: &TrainState, r0: usize, cols: (usize, usize)) -> Mat {
+        let rows = self.p.rows();
+        let scale = 1.0 / s.train_count as f64;
+        let mut g = Mat::zeros(rows, cols.1 - cols.0);
+        for r in 0..rows {
+            let gv = r0 + r;
+            if !s.mask[gv] {
+                continue;
+            }
+            let out = g.row_mut(r);
+            for (cl, c) in (cols.0..cols.1).enumerate() {
+                let mut v = self.p[(r, c)] * scale;
+                if c == s.labels[gv] {
+                    v -= scale;
+                }
+                out[cl] = v;
+            }
+        }
+        g
+    }
+
+    /// Stored words.
+    fn words(&self) -> usize {
+        self.h.len() + self.p.len()
+    }
+}
+
+/// All-gather the column blocks of a grid layout's reduced weight
+/// gradient `y_j` along the process `row` into the replicated
+/// `f_in x f_out` gradient.
+fn replicate_y(row: &Communicator, y_j: Mat) -> Mat {
+    let y_parts = row.allgather(y_j, Cat::DenseComm);
+    Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>())
 }
 
 /// Per-rank storage footprint, in 8-byte words — the quantity behind the
@@ -539,7 +713,7 @@ impl StorageReport {
 }
 
 /// Storage words of a CSR block: values + column indices + row pointers.
-pub(crate) fn csr_words(a: &cagnet_sparse::Csr) -> usize {
+pub(crate) fn csr_words(a: &Csr) -> usize {
     2 * a.nnz() + a.rows() + 1
 }
 

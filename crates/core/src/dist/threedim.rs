@@ -16,33 +16,40 @@
 //! then reduce-scattered along the *fiber* dimension — the `∛P`-factor
 //! intermediate replication the paper highlights — yielding the Block
 //! Split 3D result.
+//!
+//! Under the sparse-exchange [`super::CommMode`] tiers each stage's dense
+//! block moves as a `gather_rows` of only the rows the receivers' sparse
+//! blocks touch, and the stage owner ships the column-compacted sparse
+//! block (same nnz — identical SparseComm words). `S` broadcasts, the
+//! partial-W stages and the fiber/j-group reductions stay dense in every
+//! mode and are never cached.
 
-use crate::loss::{accuracy_counts, nll_sum};
+use super::{DistTrainer, Layout, StorageReport, TrainState};
 use crate::model::GcnConfig;
-use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::grid::int_cbrt;
 use cagnet_comm::{Cat, Ctx, Grid3D};
-use cagnet_dense::activation::{log_softmax_rows, softmax_rows, Activation};
-use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
+use cagnet_dense::{matmul_nt_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
 use std::sync::Arc;
 
-/// Per-rank state of the 3D trainer.
-pub struct ThreeDimTrainer {
-    cfg: GcnConfig,
+/// The 3D trainer: the shared shell over the [`ThreeDimLayout`].
+pub type ThreeDimTrainer = DistTrainer<ThreeDimLayout>;
+
+/// Per-rank blocks and mesh of the Split-3D distribution.
+pub struct ThreeDimLayout {
     grid: Grid3D,
     /// Communicator over all ranks sharing my grid column `j` (size `q²`),
     /// used for the weight-gradient reduction.
     jgroup: Communicator,
-    train_count: usize,
     /// Global row offset of my Block Split rows (block `i`, sub-block
     /// `k`).
     r0: usize,
+    /// Rows of my Block Split dense pieces (`≈ n/q²`).
+    rows: usize,
     /// `Aᵀ(rows i, cols j, col-split k)` — `n/q x ~n/q²`. Shared so the
     /// stage broadcasts move a handle, not a copy of the block.
     at_ijk: Arc<Csr>,
@@ -66,40 +73,15 @@ pub struct ThreeDimTrainer {
     /// ranks from the balanced partition; fingerprinted by gather
     /// receivers under CheckMode).
     stage_rows: Vec<usize>,
-    /// Comm tier, overlap, training state and halo cache of the SUMMA
-    /// stages (DESIGN.md §9, §10, §13). Only the `D` block fetches use
-    /// the comm tier and the cache; `S` broadcasts, partial-W stages and
-    /// the fiber/j-group reductions are always dense and never cached.
-    stages: super::StageFetcher,
-    labels: Arc<Vec<usize>>,
-    mask: Arc<Vec<bool>>,
-    weights: Vec<Mat>,
-    opt: Optimizer,
-    act: Activation,
-    dropout: f64,
-    epoch_counter: u64,
-    drop_masks: Vec<Option<Mat>>,
-    /// Stored pre-activation blocks, shared so the output layer's block
-    /// enters the row all-gather without a copy.
-    zs: Vec<Arc<Mat>>,
-    /// Stored activation blocks, shared so whole blocks enter the stage
-    /// broadcasts without a copy.
-    hs: Vec<Arc<Mat>>,
-    /// Output log-probabilities over my Block Split rows, all classes;
-    /// shared so `gather_embeddings` moves it without a copy.
-    h_out_row: Arc<Mat>,
-    /// Output softmax over my Block Split rows (for `G^L`).
-    p_out_row: Mat,
+    /// Full-width output rows of my process row.
+    out: super::RowOutput,
 }
 
 impl ThreeDimTrainer {
     /// Slice this rank's mesh blocks from the shared problem. World size
     /// must be a perfect cube.
     pub fn setup(ctx: &Ctx, problem: &Problem, cfg: &GcnConfig) -> Self {
-        match Self::try_setup(ctx, problem, cfg) {
-            Ok(t) => t,
-            Err(e) => panic!("3D trainer setup: {e}"),
-        }
+        Self::try_setup(ctx, problem, cfg).unwrap_or_else(|e| panic!("3D trainer setup: {e}"))
     }
 
     /// Fallible constructor: returns [`super::SetupError`] instead of
@@ -158,12 +140,11 @@ impl ThreeDimTrainer {
         let f0 = problem.features.cols();
         let (fc0, fc1) = block_range(f0, q, j);
         let h0 = problem.features.block(r0, r0b + rsub.1, fc0, fc1);
-        Ok(ThreeDimTrainer {
-            cfg: cfg.clone(),
+        let layout = ThreeDimLayout {
             grid,
             jgroup,
-            train_count: problem.train_count(),
             r0,
+            rows: h0.rows(),
             at_ijk: Arc::new(at_ijk),
             a_ijk: Arc::new(a_ijk),
             at_compact: None,
@@ -171,39 +152,23 @@ impl ThreeDimTrainer {
             needed_fwd,
             needed_bwd,
             stage_rows,
-            stages: super::StageFetcher::default(),
-            labels: Arc::new(problem.labels.clone()),
-            mask: Arc::new(problem.train_mask.clone()),
-            opt: {
-                let w = cfg.init_weights();
-                Optimizer::for_weights(OptimizerKind::Sgd, cfg.lr, &w)
-            },
-            act: Activation::Relu,
-            dropout: 0.0,
-            epoch_counter: 0,
-            drop_masks: Vec::new(),
-            weights: cfg.init_weights(),
-            zs: Vec::new(),
-            hs: vec![Arc::new(h0)],
-            h_out_row: Arc::new(Mat::zeros(0, 0)),
-            p_out_row: Mat::zeros(0, 0),
-        })
+            out: super::RowOutput::default(),
+        };
+        Ok(DistTrainer::new(problem, cfg, h0, layout))
     }
+}
 
-    /// Rows of my Block Split dense pieces (`≈ n/q²`).
-    fn my_rows(&self) -> usize {
-        self.hs[0].rows()
-    }
-
+impl ThreeDimLayout {
     /// The sparse block to serve as stage owner on the row broadcast:
     /// the full block in dense mode, the column-compacted one (same nnz,
     /// identical SparseComm words) in the sparse-exchange modes.
     fn bcast_block<'a>(
-        &'a self,
+        &self,
+        s: &TrainState,
         full: &'a Arc<Csr>,
         compact: &'a Option<Arc<Csr>>,
     ) -> &'a Arc<Csr> {
-        match (self.stages.sparse_exchange(), compact) {
+        match (s.stages.sparse_exchange(), compact) {
             (true, Some(c)) => c,
             _ => full,
         }
@@ -218,32 +183,32 @@ impl ThreeDimTrainer {
     /// bit for bit.
     fn split3d_spmm(
         &self,
+        s: &TrainState,
         ctx: &Ctx,
         s_mine: &Arc<Csr>,
         d_mine: &Arc<Mat>,
         needed_tbl: &[Vec<usize>],
     ) -> Mat {
-        let q = self.grid.q;
         let f_cols = d_mine.cols();
         let mut partial = Mat::zeros(self.at_ijk.rows(), f_cols);
         // Arc payloads: the owner's resident block is never deep-copied
         // into the collective.
         super::run_stages(
-            q,
-            |s| {
-                let a_op = self.stages.defer(move || {
+            self.grid.q,
+            |st| {
+                let a_op = s.stages.defer(move || {
                     self.grid.row.ibcast_shared(
-                        s,
-                        (self.grid.j == s).then(|| s_mine.clone()),
+                        st,
+                        (self.grid.j == st).then(|| s_mine.clone()),
                         Cat::SparseComm,
                     )
                 });
-                let d_op = self.stages.fetch(
+                let d_op = s.stages.fetch(
                     &self.grid.col,
-                    s,
-                    (self.grid.i == s).then(|| d_mine.clone()),
-                    &needed_tbl[s],
-                    (self.stage_rows[s], f_cols),
+                    st,
+                    (self.grid.i == st).then(|| d_mine.clone()),
+                    &needed_tbl[st],
+                    (self.stage_rows[st], f_cols),
                 );
                 (a_op, d_op)
             },
@@ -260,336 +225,104 @@ impl ThreeDimTrainer {
             .fiber
             .reduce_scatter_rows(&partial, Cat::DenseComm)
     }
+}
 
-    /// Partial Split-3D-SpMM against the replicated `W` (within-layer row
-    /// broadcasts only, §IV-D.1). These stages stay dense broadcasts in
-    /// every [`super::CommMode`]: the stage GEMM reads *all* rows of the
-    /// broadcast `T` block, so a row gather would request every row and
-    /// only add the per-row index words.
-    fn partial_w(
-        &self,
-        ctx: &Ctx,
-        t_mine: &Arc<Mat>,
-        w: &Mat,
-        f_in: usize,
-        f_out: usize,
-        transpose_w: bool,
-    ) -> Mat {
-        let q = self.grid.q;
-        let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-        let mut out = Mat::zeros(self.my_rows(), oc1 - oc0);
-        // Arc payloads: my own T block is never deep-copied into the
-        // collective.
-        super::run_stages(
-            q,
-            |s| {
-                self.stages.defer(move || {
-                    self.grid.row.ibcast_shared(
-                        s,
-                        (self.grid.j == s).then(|| t_mine.clone()),
-                        Cat::DenseComm,
-                    )
-                })
-            },
-            |s, t_hat| {
-                let t_hat = t_hat.wait();
-                let (ic0, ic1) = block_range(f_in, q, s);
-                debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
-                if ic1 == ic0 || oc1 == oc0 {
-                    return;
-                }
-                ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
-                if transpose_w {
-                    let w_slice = w.block(oc0, oc1, ic0, ic1);
-                    let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
-                    cagnet_dense::ops::add_assign(&mut out, &add);
-                } else {
-                    let w_slice = w.block(ic0, ic1, oc0, oc1);
-                    matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
-                }
-            },
-        );
-        out
+impl Layout for ThreeDimLayout {
+    fn row_offset(&self) -> usize {
+        self.r0
     }
 
-    /// Forward pass; returns the global mean masked NLL loss.
-    pub fn forward(&mut self, ctx: &Ctx) -> f64 {
-        let l_total = self.cfg.layers();
-        let q = self.grid.q;
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.truncate(1);
-        for l in 0..l_total {
-            let f_in = self.cfg.dims[l];
-            let f_out = self.cfg.dims[l + 1];
-            let t = Arc::new(self.split3d_spmm(
-                ctx,
-                self.bcast_block(&self.at_ijk, &self.at_compact),
-                &self.hs[l],
-                &self.needed_fwd,
-            ));
-            let z = Arc::new(self.partial_w(ctx, &t, &self.weights[l], f_in, f_out, false));
-            let h = if l + 1 == l_total {
-                // log_softmax: within-layer row all-gather assembles full
-                // class rows; no cross-layer communication (§IV-D.2).
-                let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
-                let z_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
-                ctx.charge_elementwise(2 * z_row.len());
-                self.h_out_row = Arc::new(log_softmax_rows(&z_row));
-                self.p_out_row = softmax_rows(&z_row);
-                let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-                self.h_out_row.block(0, z_row.rows(), oc0, oc1)
-            } else {
-                ctx.charge_elementwise(z.len());
-                let mut h = self.act.apply(&z);
-                let (dc0, dc1) = block_range(f_out, self.grid.q, self.grid.j);
-                self.apply_dropout(l, self.r0, f_out, dc0, dc1, &mut h);
-                h
-            };
-            self.zs.push(z);
-            self.hs.push(Arc::new(h));
-        }
-        let local = if self.grid.j == 0 {
-            nll_sum(&self.h_out_row, &self.labels, &self.mask, self.r0)
-        } else {
-            0.0
-        };
-        ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.train_count as f64
+    fn col_block(&self, f: usize) -> (usize, usize) {
+        block_range(f, self.grid.q, self.grid.j)
     }
 
-    /// Output-layer gradient block from the stored row softmax.
-    fn output_gradient_block(&self) -> Mat {
-        let q = self.grid.q;
-        let f_out = self.cfg.f_out();
-        let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-        let rows = self.my_rows();
-        let scale = 1.0 / self.train_count as f64;
-        let mut g = Mat::zeros(rows, oc1 - oc0);
-        for r in 0..rows {
-            let gv = self.r0 + r;
-            if !self.mask[gv] {
-                continue;
-            }
-            let out = g.row_mut(r);
-            for (cl, c) in (oc0..oc1).enumerate() {
-                let mut v = self.p_out_row[(r, c)] * scale;
-                if c == self.labels[gv] {
-                    v -= scale;
-                }
-                out[cl] = v;
-            }
-        }
-        g
+    /// Split-3D-SpMM for `T = Aᵀ H`, then the partial SUMMA against the
+    /// replicated `W` (within-layer row broadcasts only, §IV-D.1).
+    fn layer(&self, s: &TrainState, ctx: &Ctx, l: usize) -> Mat {
+        let at = self.bcast_block(s, &self.at_ijk, &self.at_compact);
+        let t = Arc::new(self.split3d_spmm(s, ctx, at, &s.hs[l], &self.needed_fwd));
+        let g = &self.grid;
+        super::partial_summa_w(&s.stages, ctx, &g.row, g.j, &t, &s.weights[l])
     }
 
-    /// Backward pass + replicated gradient-descent step.
-    pub fn backward(&mut self, ctx: &Ctx) {
-        let l_total = self.cfg.layers();
-        assert_eq!(self.zs.len(), l_total, "forward must run before backward");
-        let mut g = Arc::new(self.output_gradient_block());
+    /// Within-layer row all-gather; no cross-layer communication
+    /// (§IV-D.2).
+    fn output_layer(&mut self, ctx: &Ctx, z: &Arc<Mat>) -> Mat {
+        self.out.forward(ctx, &self.grid.row, self.grid.j, z)
+    }
+
+    /// One rank per process row contributes its full-width row block.
+    fn output_rows<'a>(&'a self, _: &'a TrainState) -> Option<(&'a Mat, usize)> {
+        (self.grid.j == 0).then(|| (&*self.out.h, self.r0))
+    }
+
+    fn backward(&mut self, s: &mut TrainState, ctx: &Ctx) {
+        let l_total = s.cfg.layers();
+        let mut g = Arc::new(self.out.gradient(s, self.r0, self.col_block(s.cfg.f_out())));
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
-            let f_in = self.cfg.dims[l];
-            let f_out = self.cfg.dims[l + 1];
+            let f_in = s.cfg.dims[l];
+            let f_out = s.cfg.dims[l + 1];
             // A G via full Split-3D-SpMM; saved and reused (§IV-D.4).
-            let ag = self.split3d_spmm(
-                ctx,
-                self.bcast_block(&self.a_ijk, &self.a_compact),
-                &g,
-                &self.needed_bwd,
-            );
-            let parts = self.grid.row.allgather_shared(Arc::new(ag), Cat::DenseComm);
-            let ag_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
-            debug_assert_eq!(ag_row.shape(), (self.my_rows(), f_out));
+            let a = self.bcast_block(s, &self.a_ijk, &self.a_compact);
+            let ag = self.split3d_spmm(s, ctx, a, &g, &self.needed_bwd);
+            let ag_row = super::hstack_row(&self.grid.row, Arc::new(ag));
+            debug_assert_eq!(ag_row.shape(), (self.rows, f_out));
             // Y = (H^{l-1})ᵀ A G: local slab product, reduction over all
             // ranks sharing grid column j, then row replication.
-            ctx.charge_gemm(self.hs[l].cols(), self.my_rows(), f_out);
-            let y_local = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag_row);
+            ctx.charge_gemm(s.hs[l].cols(), self.rows, f_out);
+            let y_local = matmul_tn_with(ctx.parallel(), &s.hs[l], &ag_row);
             // With overlap on, the j-group Y reduction is in flight while
             // the G^{l-1} GEMM computes (both read only ag_row and
-            // replicated state). The dropout mask is taken up front so
-            // no &mut self is needed while the op borrows the jgroup.
-            let drop_mask = (l > 0).then(|| self.drop_masks[l - 1].take()).flatten();
-            let y_op = self
+            // replicated state).
+            let y_op = s
                 .stages
                 .defer(|| self.jgroup.iallreduce_mat(&y_local, Cat::DenseComm));
             if l > 0 {
-                let (jc0, jc1) = block_range(f_in, self.grid.q, self.grid.j);
-                let w_slice = self.weights[l].block(jc0, jc1, 0, f_out);
-                ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
+                let (jc0, jc1) = self.col_block(f_in);
+                let w_slice = s.weights[l].block(jc0, jc1, 0, f_out);
+                ctx.charge_gemm(self.rows, f_out, jc1 - jc0);
                 let mut next_g = matmul_nt_with(ctx.parallel(), &ag_row, &w_slice);
-                hadamard_assign(&mut next_g, &self.act.prime(&self.zs[l - 1]));
-                if let Some(mask) = drop_mask {
-                    hadamard_assign(&mut next_g, &mask);
-                }
-                ctx.charge_elementwise(next_g.len());
+                s.activation_grad(ctx, l, &mut next_g);
                 g = Arc::new(next_g);
             }
-            let y_j = y_op.wait();
-            let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
-            let y = Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            let y = super::replicate_y(&self.grid.row, y_op.wait());
             debug_assert_eq!(y.shape(), (f_in, f_out));
-            self.opt.step(l, &mut self.weights[l], &y);
-            ctx.charge_elementwise(y.len());
+            s.step(ctx, l, &y);
         }
     }
 
-    /// One epoch; returns the pre-update loss.
-    pub fn epoch(&mut self, ctx: &Ctx) -> f64 {
-        self.epoch_counter += 1;
-        self.stages.begin_epoch(self.epoch_counter);
-        let loss = self.forward(ctx);
-        self.backward(ctx);
-        self.stages.end_epoch();
-        loss
-    }
-
-    /// Global training accuracy of the current model.
-    pub fn accuracy(&mut self, ctx: &Ctx) -> f64 {
-        let _ = self.forward(ctx);
-        let (c, t) = if self.grid.j == 0 {
-            accuracy_counts(&self.h_out_row, &self.labels, &self.mask, self.r0)
-        } else {
-            (0, 0)
-        };
-        super::global_accuracy(ctx, c, t)
-    }
-
-    fn apply_dropout(
-        &mut self,
-        layer: usize,
-        row_offset: usize,
-        f_total: usize,
-        c0: usize,
-        c1: usize,
-        h: &mut Mat,
-    ) {
-        if self.stages.training() && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
-                crate::dropout::DropoutKey {
-                    base_seed: self.cfg.seed,
-                    epoch: self.epoch_counter,
-                    layer,
-                },
-                self.dropout,
-                row_offset,
-                h.rows(),
-                f_total,
-                c0,
-                c1,
-            );
-            cagnet_dense::ops::hadamard_assign(h, &mask);
-            self.drop_masks[layer] = Some(mask);
+    fn compact_panels(&mut self) {
+        let j = self.grid.j;
+        if self.at_compact.is_none() {
+            self.at_compact = Some(Arc::new(self.at_ijk.compact_cols(&self.needed_fwd[j])));
+        }
+        if self.a_compact.is_none() {
+            self.a_compact = Some(Arc::new(self.a_ijk.compact_cols(&self.needed_bwd[j])));
         }
     }
 
-    /// Set the hidden-layer dropout rate (inverted dropout; a fresh
-    /// deterministic mask per epoch, identical across layouts and ranks —
-    /// see [`crate::dropout`]). 0 disables it; evaluation forwards never
-    /// apply it.
-    pub fn set_dropout(&mut self, rate: f64) {
-        assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0, 1)");
-        self.dropout = rate;
-    }
-
-    /// Select the hidden-layer activation (default ReLU, the paper's σ;
-    /// the output layer stays log-softmax). Elementwise, so it changes no
-    /// communication. Must be set identically on every rank.
-    pub fn set_hidden_activation(&mut self, act: Activation) {
-        self.act = act;
-    }
-
-    /// Enable or disable communication/computation overlap (default on).
-    /// With overlap on, SUMMA panel broadcasts and the j-group Y
-    /// reduction run as nonblocking collectives pipelined against
-    /// compute; losses, weights, and metered words are bit-identical
-    /// either way — only modeled (and wall-clock) time changes. Must be
-    /// set identically on every rank.
-    pub fn set_overlap(&mut self, overlap: bool) {
-        self.stages.set_overlap(overlap);
-    }
-
-    /// Select how Split-3D-SpMM stages move the dense operand. Under
-    /// [`CommMode::SparsityAware`](super::CommMode::SparsityAware) each
-    /// stage's dense block broadcast becomes a `gather_rows` of only the
-    /// rows the receivers' sparse blocks touch, and the stage owner ships
-    /// the column-compacted sparse block (same nnz — identical SparseComm
-    /// words). The trailing weight product (`partial_w`) stays dense in
-    /// every mode: the GEMM reads all rows of the broadcast T block, so a
-    /// gather would add index words for zero savings. `Dense` and
-    /// `SparsityAware` train bit-identically; `Cached` is bit-identical
-    /// only at `refresh: 1` (DESIGN.md §13). Must be set identically on
-    /// every rank. Always drops any halo cache, so a mode change (or
-    /// re-set after mutating state) can never serve stale blocks.
-    pub fn set_comm_mode(&mut self, mode: super::CommMode) {
-        self.stages.set_mode(mode);
-        if mode.sparse_exchange() {
-            if self.at_compact.is_none() {
-                self.at_compact = Some(Arc::new(
-                    self.at_ijk.compact_cols(&self.needed_fwd[self.grid.j]),
-                ));
-            }
-            if self.a_compact.is_none() {
-                self.a_compact = Some(Arc::new(
-                    self.a_ijk.compact_cols(&self.needed_bwd[self.grid.j]),
-                ));
-            }
-        }
-    }
-
-    /// Select the optimizer (replicated state; no communication). Resets
-    /// any accumulated moments. Must be called identically on every rank,
-    /// before training.
-    pub fn set_optimizer(&mut self, kind: OptimizerKind) {
-        self.opt = Optimizer::for_weights(kind, self.cfg.lr, &self.weights);
-    }
-
-    /// Replace the replicated weights (e.g. with a trained model for
-    /// inference). Must be called identically on every rank.
-    pub fn set_weights(&mut self, weights: Vec<Mat>) {
-        assert_eq!(weights.len(), self.cfg.layers(), "weight stack length");
-        for (l, w) in weights.iter().enumerate() {
-            assert_eq!(
-                w.shape(),
-                (self.cfg.dims[l], self.cfg.dims[l + 1]),
-                "weight {l} shape"
-            );
-        }
-        self.weights = weights;
-    }
-
-    /// Replicated weights.
-    pub fn weights(&self) -> &[Mat] {
-        &self.weights
-    }
-
-    /// Per-rank storage footprint (run after a forward pass). The
-    /// intermediate term is the §IV-D replication: each SUMMA partial is
-    /// `n/q x f/q` — `q = ∛P` times larger than the rank's own
+    /// The intermediate term is the §IV-D replication: each SUMMA partial
+    /// is `n/q x f/q` — `q = ∛P` times larger than the rank's own
     /// `n/q² x f/q` state blocks.
-    pub fn storage_words(&self) -> super::StorageReport {
-        let f_max = self.cfg.f_max();
-        let q = self.grid.q;
-        super::StorageReport {
+    fn storage_words(&self, s: &TrainState) -> StorageReport {
+        let f_max = s.cfg.f_max();
+        StorageReport {
             adjacency: super::csr_words(&self.at_ijk)
                 + super::csr_words(&self.a_ijk)
                 + self.at_compact.as_ref().map_or(0, |c| super::csr_words(c))
                 + self.a_compact.as_ref().map_or(0, |c| super::csr_words(c)),
-            dense_state: super::mats_words(&self.hs)
-                + super::mats_words(&self.zs)
-                + self.h_out_row.len()
-                + self.p_out_row.len(),
+            dense_state: super::mats_words(&s.hs) + super::mats_words(&s.zs) + self.out.words(),
             // Pre-fiber-reduction partial: n/q rows x ~f/q cols.
-            intermediate: self.at_ijk.rows() * f_max.div_ceil(q) + self.my_rows() * f_max,
+            intermediate: self.at_ijk.rows() * f_max.div_ceil(self.grid.q) + self.rows * f_max,
         }
     }
 
-    /// Assemble the full output embedding matrix on every rank.
-    pub fn gather_embeddings(&self, ctx: &Ctx) -> Mat {
+    fn gather_embeddings(&self, _: &TrainState, ctx: &Ctx) -> Mat {
         let q = self.grid.q;
         let blocks = ctx
             .world
-            .allgather_shared(self.h_out_row.clone(), Cat::DenseComm);
+            .allgather_shared(self.out.h.clone(), Cat::DenseComm);
         // Global row order: row block i, then sub-block k; contributed by
         // rank (i, j=0, k) = k·q² + i·q.
         let mut parts = Vec::with_capacity(q * q);

@@ -4,13 +4,13 @@
 
 use crate::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, onedim_row::OneDimRowTrainer,
-    threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
+    threedim::ThreeDimTrainer, twodim::TwoDimTrainer, DistTrainer, Layout,
 };
 use crate::model::GcnConfig;
 use crate::optimizer::OptimizerKind;
 use crate::problem::Problem;
 use cagnet_comm::trace::TraceEvent;
-use cagnet_comm::{Cluster, CostModel, Precision, TimelineReport, TransportKind};
+use cagnet_comm::{Cluster, CostModel, Ctx, Precision, TimelineReport, TransportKind};
 use cagnet_dense::activation::Activation;
 use cagnet_dense::Mat;
 
@@ -271,10 +271,40 @@ fn prepare_partition(
     Some(problem.relabeled(&part, groups))
 }
 
+/// Build `algo`'s trainer on this rank and apply `tc`'s training knobs:
+/// optimizer, hidden activation, dropout, comm tier and overlap, in that
+/// order. The one construction path of [`train_distributed`] and
+/// [`infer_distributed`].
+fn configured_trainer(
+    ctx: &Ctx,
+    problem: &Problem,
+    gcn: &GcnConfig,
+    algo: Algorithm,
+    tc: &TrainConfig,
+) -> Box<DistTrainer<dyn Layout>> {
+    let mut t: Box<DistTrainer<dyn Layout>> = match algo {
+        Algorithm::OneD => Box::new(OneDimTrainer::setup(ctx, problem, gcn)),
+        Algorithm::OneDRow => Box::new(OneDimRowTrainer::setup(ctx, problem, gcn)),
+        Algorithm::One5D { c } => Box::new(One5DTrainer::setup(ctx, problem, gcn, c)),
+        Algorithm::TwoD => Box::new(TwoDimTrainer::setup(ctx, problem, gcn, tc.twod)),
+        Algorithm::TwoDRect { pr, pc } => Box::new(TwoDimTrainer::setup_rect(
+            ctx, problem, gcn, tc.twod, pr, pc,
+        )),
+        Algorithm::ThreeD => Box::new(ThreeDimTrainer::setup(ctx, problem, gcn)),
+    };
+    t.set_optimizer(tc.optimizer);
+    t.set_hidden_activation(tc.activation);
+    t.set_dropout(tc.dropout);
+    t.set_comm_mode(tc.comm_mode);
+    t.set_overlap(tc.overlap);
+    t
+}
+
 /// Distributed inference: one forward pass of `algo` on `p` ranks with a
-/// *given* weight stack (e.g. from a prior training run). The paper notes
-/// all of its algorithms apply unchanged to inference (§I); this is that
-/// path, with the same communication accounting as training forward
+/// *given* weight stack (e.g. from a prior training run), configured from
+/// `tc` exactly as [`train_distributed`] configures training. The paper
+/// notes all of its algorithms apply unchanged to inference (§I); this is
+/// that path, with the same communication accounting as training forward
 /// passes. When [`TrainConfig::partition`] is set the problem is
 /// relabeled exactly as in [`train_distributed`] (the weight stack is
 /// row-id-agnostic, so weights trained either way apply) and the returned
@@ -294,63 +324,14 @@ pub fn infer_distributed(
         Some((prob, rl)) => (prob, Some(rl)),
         None => (problem, None),
     };
-    let mut cluster = Cluster::new(p)
-        .with_model(model)
-        .with_threads_per_rank(tc.threads_per_rank)
-        .with_precision(tc.precision);
-    if let Some(t) = tc.transport {
-        cluster = cluster.with_transport(t);
-    }
-    let per_rank = cluster.run_wire(|ctx| {
-        macro_rules! run_forward {
-            ($t:expr) => {{
-                let mut t = $t;
-                t.set_weights(weights.to_vec());
-                let loss = t.forward(ctx);
-                let report = ctx.report();
-                let accuracy = t.accuracy(ctx);
-                let embeddings = t.gather_embeddings(ctx);
-                (loss, accuracy, report, embeddings)
-            }};
-        }
-        match algo {
-            Algorithm::OneD => {
-                let mut t = OneDimTrainer::setup(ctx, problem, gcn);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::OneDRow => {
-                let mut t = OneDimRowTrainer::setup(ctx, problem, gcn);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::One5D { c } => {
-                let mut t = One5DTrainer::setup(ctx, problem, gcn, c);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::TwoD => {
-                let mut t = TwoDimTrainer::setup(ctx, problem, gcn, tc.twod);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::TwoDRect { pr, pc } => {
-                let mut t = TwoDimTrainer::setup_rect(ctx, problem, gcn, tc.twod, pr, pc);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::ThreeD => {
-                let mut t = ThreeDimTrainer::setup(ctx, problem, gcn);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-        }
+    let per_rank = cluster(p, model, tc).run_wire(|ctx| {
+        let mut t = configured_trainer(ctx, problem, gcn, algo, tc);
+        t.set_weights(weights.to_vec());
+        let loss = t.forward(ctx);
+        let report = ctx.report();
+        let accuracy = t.accuracy(ctx);
+        let embeddings = t.gather_embeddings(ctx);
+        (loss, accuracy, report, embeddings)
     });
     let (loss, accuracy, _, embeddings) = per_rank[0].0.clone();
     let embeddings = match relabeling {
@@ -362,6 +343,18 @@ pub fn infer_distributed(
         loss,
         accuracy,
         reports: per_rank.iter().map(|((_, _, r, _), _)| *r).collect(),
+    }
+}
+
+/// The cluster a run of `p` ranks uses under `tc`.
+fn cluster(p: usize, model: CostModel, tc: &TrainConfig) -> Cluster {
+    let cluster = Cluster::new(p)
+        .with_model(model)
+        .with_threads_per_rank(tc.threads_per_rank)
+        .with_precision(tc.precision);
+    match tc.transport {
+        Some(t) => cluster.with_transport(t),
+        None => cluster,
     }
 }
 
@@ -384,86 +377,14 @@ pub fn train_distributed(
         Some((prob, rl)) => (prob, Some(rl.clone())),
         None => (problem, None),
     };
-    enum AnyTrainer {
-        OneD(OneDimTrainer),
-        OneDRow(OneDimRowTrainer),
-        One5D(One5DTrainer),
-        TwoD(Box<TwoDimTrainer>),
-        ThreeD(Box<ThreeDimTrainer>),
-    }
-
-    let mut cluster = Cluster::new(p)
-        .with_model(model)
-        .with_threads_per_rank(tc.threads_per_rank)
-        .with_precision(tc.precision);
-    if let Some(t) = tc.transport {
-        cluster = cluster.with_transport(t);
-    }
-    let per_rank = cluster.run_wire(|ctx| {
-        let mut tr = match algo {
-            Algorithm::OneD => AnyTrainer::OneD(OneDimTrainer::setup(ctx, problem, gcn)),
-            Algorithm::OneDRow => AnyTrainer::OneDRow(OneDimRowTrainer::setup(ctx, problem, gcn)),
-            Algorithm::One5D { c } => AnyTrainer::One5D(One5DTrainer::setup(ctx, problem, gcn, c)),
-            Algorithm::TwoD => {
-                AnyTrainer::TwoD(Box::new(TwoDimTrainer::setup(ctx, problem, gcn, tc.twod)))
-            }
-            Algorithm::TwoDRect { pr, pc } => AnyTrainer::TwoD(Box::new(
-                TwoDimTrainer::setup_rect(ctx, problem, gcn, tc.twod, pr, pc),
-            )),
-            Algorithm::ThreeD => {
-                AnyTrainer::ThreeD(Box::new(ThreeDimTrainer::setup(ctx, problem, gcn)))
-            }
-        };
-        match &mut tr {
-            AnyTrainer::OneD(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::OneDRow(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::One5D(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::TwoD(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::ThreeD(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-        }
+    let per_rank = cluster(p, model, tc).run_wire(|ctx| {
+        let mut tr = configured_trainer(ctx, problem, gcn, algo, tc);
         if tc.trace {
             ctx.enable_tracing();
         }
         let mut losses = Vec::with_capacity(tc.epochs);
         for _ in 0..tc.epochs {
-            let loss = match &mut tr {
-                AnyTrainer::OneD(t) => t.epoch(ctx),
-                AnyTrainer::OneDRow(t) => t.epoch(ctx),
-                AnyTrainer::One5D(t) => t.epoch(ctx),
-                AnyTrainer::TwoD(t) => t.epoch(ctx),
-                AnyTrainer::ThreeD(t) => t.epoch(ctx),
-            };
-            losses.push(loss);
+            losses.push(tr.epoch(ctx));
         }
         // Snapshot the timed-epoch ledger (and trace) before the
         // (untimed-in-spirit) evaluation pass.
@@ -473,32 +394,10 @@ pub fn train_distributed(
         } else {
             Vec::new()
         };
-        let accuracy = match &mut tr {
-            AnyTrainer::OneD(t) => t.accuracy(ctx),
-            AnyTrainer::OneDRow(t) => t.accuracy(ctx),
-            AnyTrainer::One5D(t) => t.accuracy(ctx),
-            AnyTrainer::TwoD(t) => t.accuracy(ctx),
-            AnyTrainer::ThreeD(t) => t.accuracy(ctx),
-        };
-        let outputs = if tc.collect_outputs {
-            let weights = match &tr {
-                AnyTrainer::OneD(t) => t.weights().to_vec(),
-                AnyTrainer::OneDRow(t) => t.weights().to_vec(),
-                AnyTrainer::One5D(t) => t.weights().to_vec(),
-                AnyTrainer::TwoD(t) => t.weights().to_vec(),
-                AnyTrainer::ThreeD(t) => t.weights().to_vec(),
-            };
-            let embeddings = match &tr {
-                AnyTrainer::OneD(t) => t.gather_embeddings(ctx),
-                AnyTrainer::OneDRow(t) => t.gather_embeddings(ctx),
-                AnyTrainer::One5D(t) => t.gather_embeddings(ctx),
-                AnyTrainer::TwoD(t) => t.gather_embeddings(ctx),
-                AnyTrainer::ThreeD(t) => t.gather_embeddings(ctx),
-            };
-            Some((weights, embeddings))
-        } else {
-            None
-        };
+        let accuracy = tr.accuracy(ctx);
+        let outputs = tc
+            .collect_outputs
+            .then(|| (tr.weights().to_vec(), tr.gather_embeddings(ctx)));
         (losses, accuracy, report, trace, outputs)
     });
 

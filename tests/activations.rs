@@ -44,7 +44,9 @@ fn distributed_matches_serial_for_every_activation() {
         };
         for (algo, ranks) in [
             (Algorithm::OneD, 4),
+            (Algorithm::OneDRow, 4),
             (Algorithm::TwoD, 4),
+            (Algorithm::TwoDRect { pr: 2, pc: 1 }, 2),
             (Algorithm::ThreeD, 8),
             (Algorithm::One5D { c: 2 }, 4),
         ] {

@@ -5,9 +5,14 @@
 use cagnet::comm::{Cat, CostModel};
 use cagnet::core::trainer::{infer_distributed, train_distributed, Algorithm, TrainConfig};
 use cagnet::core::{GcnConfig, Problem, SerialTrainer};
+use cagnet::dense::activation::Activation;
 use cagnet::sparse::generate::erdos_renyi;
 
-fn setup() -> (
+/// A serially trained model with hidden activation `act`: problem,
+/// config, weights, loss and output embeddings.
+fn setup(
+    act: Activation,
+) -> (
     Problem,
     GcnConfig,
     Vec<cagnet::dense::Mat>,
@@ -19,6 +24,7 @@ fn setup() -> (
     let cfg = GcnConfig::three_layer(10, 8, 4);
     // Train serially for a few epochs to get a non-trivial model.
     let mut s = SerialTrainer::new(&problem, cfg.clone());
+    s.set_hidden_activation(act);
     s.train(10);
     let weights = s.weights().to_vec();
     let loss = s.forward();
@@ -28,33 +34,42 @@ fn setup() -> (
 
 #[test]
 fn inference_matches_serial_on_every_algorithm() {
-    let (problem, cfg, weights, s_loss, s_emb) = setup();
-    let tc = TrainConfig::default();
-    for (algo, p) in [
-        (Algorithm::OneD, 5),
-        (Algorithm::OneDRow, 3),
-        (Algorithm::One5D { c: 2 }, 6),
-        (Algorithm::TwoD, 4),
-        (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
-        (Algorithm::ThreeD, 8),
-    ] {
-        let r = infer_distributed(
-            &problem,
-            &cfg,
-            &weights,
-            algo,
-            p,
-            CostModel::summit_like(),
-            &tc,
-        );
-        assert!(
-            (r.loss - s_loss).abs() < 1e-9,
-            "{} P={p}: loss {} vs serial {s_loss}",
-            algo.name(),
-            r.loss
-        );
-        let d = r.embeddings.max_abs_diff(&s_emb);
-        assert!(d < 1e-9, "{} P={p}: embeddings differ by {d}", algo.name());
+    for act in [Activation::Relu, Activation::Tanh] {
+        let (problem, cfg, weights, s_loss, s_emb) = setup(act);
+        let tc = TrainConfig {
+            activation: act,
+            ..TrainConfig::default()
+        };
+        for (algo, p) in [
+            (Algorithm::OneD, 5),
+            (Algorithm::OneDRow, 3),
+            (Algorithm::One5D { c: 2 }, 6),
+            (Algorithm::TwoD, 4),
+            (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
+            (Algorithm::ThreeD, 8),
+        ] {
+            let r = infer_distributed(
+                &problem,
+                &cfg,
+                &weights,
+                algo,
+                p,
+                CostModel::summit_like(),
+                &tc,
+            );
+            assert!(
+                (r.loss - s_loss).abs() < 1e-9,
+                "{act:?} {} P={p}: loss {} vs serial {s_loss}",
+                algo.name(),
+                r.loss
+            );
+            let d = r.embeddings.max_abs_diff(&s_emb);
+            assert!(
+                d < 1e-9,
+                "{act:?} {} P={p}: embeddings differ by {d}",
+                algo.name()
+            );
+        }
     }
 }
 
@@ -62,7 +77,7 @@ fn inference_matches_serial_on_every_algorithm() {
 fn inference_moves_fewer_words_than_an_epoch() {
     // Inference is forward-only: strictly less communication than a full
     // forward+backward epoch under the same layout.
-    let (problem, cfg, weights, _, _) = setup();
+    let (problem, cfg, weights, _, _) = setup(Activation::Relu);
     let tc = TrainConfig {
         epochs: 1,
         collect_outputs: false,
@@ -98,7 +113,7 @@ fn inference_moves_fewer_words_than_an_epoch() {
 fn inference_with_trained_distributed_weights_roundtrips() {
     // Train distributed (2D), infer distributed (3D) with those weights:
     // cross-algorithm weight portability.
-    let (problem, cfg, _, _, _) = setup();
+    let (problem, cfg, _, _, _) = setup(Activation::Relu);
     let tc = TrainConfig {
         epochs: 10,
         ..Default::default()
