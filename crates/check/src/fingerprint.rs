@@ -43,7 +43,7 @@ pub enum CollectiveKind {
     GatherRows,
     /// `split(color)`.
     Split,
-    /// `gather_rows_refresh(...)` / `igather_rows_refresh(...)` — the
+    /// `igather_rows_refresh(...)` — the
     /// cached-mode refresh-epoch variant of [`CollectiveKind::GatherRows`].
     /// A distinct kind so a rank serving stale cache while a peer
     /// refreshes is a fingerprint mismatch, not a silent divergence.

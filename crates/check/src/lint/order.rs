@@ -44,7 +44,6 @@ fn normalize(name: &str) -> Option<&'static str> {
         | "ibcast_shared"
         | "gather_rows"
         | "igather_rows"
-        | "gather_rows_refresh"
         | "igather_rows_refresh" => "fetch",
         "allreduce_mat" | "iallreduce_mat" => "allreduce_mat",
         "allgather" | "allgather_shared" => "allgather",

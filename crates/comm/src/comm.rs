@@ -10,13 +10,23 @@
 //! are charged through the α–β model of [`crate::cost::CostModel`] onto
 //! each rank's [`crate::timeline::Timeline`].
 //!
+//! Every collective is one body: it deposits its payload at issue and
+//! hands a finish closure to a [`PendingOp`], whose
+//! [`PendingOp::wait`] collects every member's deposit, runs the
+//! closure and settles its cost. The blocking forms are that op waited
+//! at once. Wire precision (DESIGN.md §14) is a deposit codec chosen
+//! once per collective: it encodes a dense `Mat` exactly or as a
+//! [`PackedMat`] at deposit and widens it back on receipt, so no
+//! collective has a separate packed body.
+//!
 //! Collective time semantics (BSP): on completion every participant's
-//! clock becomes `max(entry clocks) + modeled collective cost`, and the
-//! bandwidth-term word count is recorded under the caller-supplied
-//! category ([`Cat::DenseComm`] or [`Cat::SparseComm`]). Entry clocks,
-//! fingerprint verification, and deterministic member-order reductions
-//! all live here, above the transport trait, which is why results are
-//! bit-identical across backends.
+//! clock becomes `max(entry clocks) + modeled collective cost` — less
+//! any part of the cost hidden behind compute charged between issue and
+//! wait — and the bandwidth-term word count is recorded under the
+//! caller-supplied category ([`Cat::DenseComm`] or [`Cat::SparseComm`]).
+//! Entry clocks, fingerprint verification, and deterministic
+//! member-order reductions all live here, above the transport trait,
+//! which is why results are bit-identical across backends.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -37,46 +47,167 @@ use cagnet_check::CheckMode;
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::block_range;
 
+/// How a collective's payloads cross the wire (DESIGN.md §14). Chosen
+/// once per collective by [`Communicator::codec`] from what every
+/// member knows alike, so all members encode and decode the same way.
+#[derive(Clone, Copy)]
+enum Codec {
+    /// Payloads travel as themselves: an `Arc` hand-off in shared
+    /// memory, their exact bytes over sockets.
+    Exact,
+    /// Each `Mat` is rounded once by its sender into a [`PackedMat`]
+    /// and widened back to `f64` on receipt.
+    Packed(Precision),
+}
+
+impl Codec {
+    /// Payload dtype recorded in CheckMode fingerprints.
+    fn dtype<T>(self) -> &'static str {
+        match self {
+            Codec::Exact => std::any::type_name::<T>(),
+            Codec::Packed(p) => p.packed_dtype(),
+        }
+    }
+
+    /// Metering category of a collective requested under `cat`: packed
+    /// traffic is metered under its precision's own category.
+    fn cat(self, cat: Cat) -> Cat {
+        match self {
+            Codec::Exact => cat,
+            Codec::Packed(p) => p.dense_cat(),
+        }
+    }
+
+    /// One member's deposit for `data`, plus the words it occupies on
+    /// the wire.
+    fn encode<T: Any + Send + Sync + CommWords + Wire>(self, data: Arc<T>) -> (TxPayload, u64) {
+        match self {
+            Codec::Exact => {
+                let words = data.comm_words();
+                (TxPayload::of(data), words)
+            }
+            Codec::Packed(p) => {
+                let packed = Arc::new(PackedMat::pack(&arc_as_mat(data), p));
+                let words = packed.comm_words();
+                (TxPayload::of(packed), words)
+            }
+        }
+    }
+
+    /// A received deposit back as `T`, plus the words that crossed the
+    /// wire.
+    fn decode<T: Any + Send + Sync + CommWords + Wire>(self, item: &RxPayload) -> (Arc<T>, u64) {
+        match self {
+            Codec::Exact => {
+                let data = item.extract::<T>();
+                let words = data.comm_words();
+                (data, words)
+            }
+            Codec::Packed(_) => {
+                let packed = item.extract::<PackedMat>();
+                (arc_from_mat(Arc::new(packed.widen())), packed.comm_words())
+            }
+        }
+    }
+
+    /// A `Mat` block as it rides inside a larger deposit.
+    fn encode_mat(self, m: Arc<Mat>) -> WireMat {
+        match self {
+            Codec::Exact => WireMat::Exact(m),
+            Codec::Packed(p) => WireMat::Packed(PackedMat::pack(&m, p)),
+        }
+    }
+}
+
+/// `Arc<T> -> Arc<Mat>` once [`Communicator::codec`] has proven
+/// `T == Mat` by `TypeId`.
+fn arc_as_mat<T: Any + Send + Sync>(data: Arc<T>) -> Arc<Mat> {
+    let any: Arc<dyn Any + Send + Sync> = data;
+    match any.downcast::<Mat>() {
+        Ok(m) => m,
+        Err(_) => unreachable!("packed codec proved T == Mat by TypeId"),
+    }
+}
+
+/// The inverse coercion of [`arc_as_mat`].
+fn arc_from_mat<T: Any + Send + Sync>(mat: Arc<Mat>) -> Arc<T> {
+    let any: Arc<dyn Any + Send + Sync> = mat;
+    match any.downcast::<T>() {
+        Ok(t) => t,
+        Err(_) => unreachable!("packed codec proved T == Mat by TypeId"),
+    }
+}
+
+/// A `Mat` encoded by a [`Codec`].
+enum WireMat {
+    Exact(Arc<Mat>),
+    Packed(PackedMat),
+}
+
+impl WireMat {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            WireMat::Exact(m) => m.shape(),
+            WireMat::Packed(p) => p.shape(),
+        }
+    }
+
+    /// Wire words one row occupies. Rows are framed individually, so a
+    /// packed row rounds up to whole words.
+    fn row_words(&self) -> u64 {
+        match self {
+            WireMat::Exact(m) => m.cols() as u64,
+            WireMat::Packed(p) => {
+                (p.shape().1 * p.precision().bytes_per_value()).div_ceil(8) as u64
+            }
+        }
+    }
+
+    /// The listed rows as `f64`, in order; only those rows are
+    /// converted.
+    fn rows(&self, rows: &[usize]) -> Mat {
+        match self {
+            WireMat::Exact(m) => m.select_rows(rows),
+            WireMat::Packed(p) => p.widen_rows(rows),
+        }
+    }
+}
+
 /// One participant's deposit in a [`Communicator::gather_rows`]
 /// rendezvous: the row indices it requests from the root, plus — at the
-/// root only — the shared block itself.
+/// root only — the shared block in the collective's codec.
 struct GatherRowsDeposit {
     needed: Vec<usize>,
-    data: Option<Arc<Mat>>,
+    data: Option<WireMat>,
 }
 
 impl Wire for GatherRowsDeposit {
+    // Tags 0 and 1 match the `Option<Arc<Mat>>` encoding, so an exact
+    // deposit is byte-identical to its plain fields; tag 2 marks a
+    // packed block.
     fn put(&self, out: &mut Vec<u8>) {
         self.needed.put(out);
-        self.data.put(out);
+        match &self.data {
+            None => out.push(0),
+            Some(WireMat::Exact(m)) => {
+                out.push(1);
+                m.put(out);
+            }
+            Some(WireMat::Packed(p)) => {
+                out.push(2);
+                p.put(out);
+            }
+        }
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        Ok(GatherRowsDeposit {
-            needed: Vec::take(r)?,
-            data: <Option<Arc<Mat>> as Wire>::take(r)?,
-        })
-    }
-}
-
-/// Compressed-precision analog of [`GatherRowsDeposit`]: the root's
-/// block crosses the wire as a [`PackedMat`]. The root keeps its own
-/// full-precision `Arc` locally — root-resident data never rides the
-/// wire, so it is never rounded (DESIGN.md §14).
-struct PackedRowsDeposit {
-    needed: Vec<usize>,
-    data: Option<PackedMat>,
-}
-
-impl Wire for PackedRowsDeposit {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.needed.put(out);
-        self.data.put(out);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        Ok(PackedRowsDeposit {
-            needed: Vec::take(r)?,
-            data: <Option<PackedMat> as Wire>::take(r)?,
-        })
+        let needed = Vec::take(r)?;
+        let data = match u8::take(r)? {
+            0 => None,
+            1 => Some(WireMat::Exact(Arc::take(r)?)),
+            2 => Some(WireMat::Packed(PackedMat::take(r)?)),
+            _ => return Err(FrameError::Malformed("gather_rows block tag out of range")),
+        };
+        Ok(GatherRowsDeposit { needed, data })
     }
 }
 
@@ -132,13 +263,7 @@ impl GatheredRows {
                 );
                 self.mat.clone()
             }
-            None => {
-                let mut m = Mat::zeros(needed.len(), self.mat.cols());
-                for (i, &r) in needed.iter().enumerate() {
-                    m.row_mut(i).copy_from_slice(self.mat.row(r));
-                }
-                Arc::new(m)
-            }
+            None => Arc::new(self.mat.select_rows(needed)),
         }
     }
 }
@@ -281,39 +406,23 @@ impl Communicator {
         self.precision.set(precision);
     }
 
-    /// The active compression, if any, for a collective carrying `T`
-    /// metered under `cat`: packing engages exactly when the handle's
-    /// precision is narrow, the payload is a [`Mat`], the traffic is
-    /// dense-matrix communication ([`Cat::DenseComm`] — weights and
-    /// control payloads under other categories stay exact), and the
-    /// group actually crosses the wire (`size > 1`). Decidable on every
-    /// rank without payload inspection, so all members take the same
-    /// branch.
-    fn packed_precision<T: Any>(&self, cat: Cat) -> Option<Precision> {
+    /// The codec of a collective carrying `T` metered under `cat`:
+    /// packing engages exactly when the handle's precision is narrow,
+    /// the payload is a [`Mat`], the traffic is dense-matrix
+    /// communication ([`Cat::DenseComm`] — weights and control payloads
+    /// under other categories stay exact), and the group actually
+    /// crosses the wire (`size > 1`). Decidable on every rank without
+    /// payload inspection, so all members pick the same codec.
+    fn codec<T: Any>(&self, cat: Cat) -> Codec {
         let p = self.precision.get();
-        (p != Precision::F64
+        if p != Precision::F64
             && cat == Cat::DenseComm
             && self.size() > 1
-            && std::any::TypeId::of::<T>() == std::any::TypeId::of::<Mat>())
-        .then_some(p)
-    }
-
-    /// `Arc<T> -> Arc<Mat>` when [`Communicator::packed_precision`] has
-    /// already proven `T == Mat` via `TypeId`.
-    fn arc_as_mat<T: Any + Send + Sync>(data: Arc<T>) -> Arc<Mat> {
-        let any: Arc<dyn Any + Send + Sync> = data;
-        match any.downcast::<Mat>() {
-            Ok(m) => m,
-            Err(_) => unreachable!("packed dispatch proved T == Mat by TypeId"),
-        }
-    }
-
-    /// The inverse coercion of [`Communicator::arc_as_mat`].
-    fn arc_from_mat<T: Any + Send + Sync>(mat: Arc<Mat>) -> Arc<T> {
-        let any: Arc<dyn Any + Send + Sync> = mat;
-        match any.downcast::<T>() {
-            Ok(t) => t,
-            Err(_) => unreachable!("packed dispatch proved T == Mat by TypeId"),
+            && std::any::TypeId::of::<T>() == std::any::TypeId::of::<Mat>()
+        {
+            Codec::Packed(p)
+        } else {
+            Codec::Exact
         }
     }
 
@@ -386,61 +495,44 @@ impl Communicator {
         }
     }
 
-    /// Core rendezvous: deposit `payload` (with this rank's collective
-    /// fingerprint when checking), wait for all members, verify that
-    /// everyone entered the same collective, and return all deposits (in
-    /// member order) plus the maximum entry clock.
+    /// Issue one collective — the one path by which every collective
+    /// deposits and waits: deposit `payload` (with this rank's fingerprint when checking)
+    /// and return the op whose [`PendingOp::wait`] runs `finish` over
+    /// all members' deposits and settles the cost and words it returns
+    /// under `cat`. `cat` is `None` only for [`Communicator::split`],
+    /// which charges nothing. Fingerprints ride along with the deposit,
+    /// so checked mode adds no synchronization and no modeled cost.
     ///
-    /// Fingerprints ride along with the payload deposits, so checked mode
-    /// adds no synchronization and charges no modeled cost — timelines
-    /// are bit-identical with checking on and off.
-    fn exchange_raw(
-        &self,
+    /// A single-rank group has no rendezvous: no sequence number or
+    /// history entry is consumed, and `finish` runs on the rank's own
+    /// deposit at once.
+    fn issue<'c, T>(
+        &'c self,
         kind: CollectiveKind,
+        cat: Option<Cat>,
         fp: Option<Fingerprint>,
         payload: TxPayload,
-    ) -> (Vec<RxPayload>, f64) {
-        let size = self.size();
-        let entry = self.meter.borrow().timeline.clock();
-        if size == 1 {
-            return (vec![RxPayload::Local(payload.local)], entry);
+        finish: Finisher<'c, T>,
+    ) -> PendingOp<'c, T> {
+        if self.size() == 1 {
+            let entry = self.meter.borrow().timeline.clock();
+            let (out, cost, words) = finish(self, vec![RxPayload::Local(payload.local)]);
+            if let Some(cat) = cat {
+                self.settle_pending(entry, cat, cost, words);
+            }
+            return PendingOp::ready(self, kind, out);
         }
-        let seq = self.next_seq();
-        let slot_id = SlotId {
-            comm: self.link.id(),
-            seq,
-        };
-        let diag = &self.registry.diag;
-        let my_world = self.world_rank();
-        diag.record_history(
-            my_world,
-            HistoryEntry {
-                slot: slot_id,
-                kind,
-                clock: entry,
-            },
-        );
-        // Register the wait BEFORE depositing: the watchdog must never
-        // observe a deposit from a rank it still considers running, or a
-        // rendezvous one arrival short could be misread as stuck.
-        let _wait = diag.enter_wait(
-            my_world,
-            WaitSlot {
-                slot: slot_id,
-                kind,
-                members: self.members.as_ref().clone(),
-            },
-        );
-        self.deposit(kind, seq, entry, fp, payload);
-        self.await_and_collect(kind, seq)
+        let seq = self.issue_raw(kind, fp, payload);
+        PendingOp::in_flight(self, kind, cat, seq, finish)
     }
 
-    /// Issue half of a split-phase collective: deposit this rank's
-    /// payload and return the op's sequence number — without registering
-    /// a wait or blocking. The rank stays `Running`, which the deadlock
-    /// watchdog treats as progress, so an in-flight pending op can never
-    /// be misread as a stuck rendezvous; the wait registration happens in
-    /// [`Communicator::complete_raw`] when the op is actually awaited.
+    /// Issue half of a collective: record the entry in this rank's
+    /// history, deposit its payload and return the op's sequence number
+    /// — without registering a wait or blocking. The deposit always
+    /// precedes the wait registration: the socket hub serves a `WAIT`
+    /// only for a rendezvous the waiter has deposited into, and a rank
+    /// whose deposit is in flight stays `Running`, which the deadlock
+    /// watchdog treats as progress.
     fn issue_raw(&self, kind: CollectiveKind, fp: Option<Fingerprint>, payload: TxPayload) -> u64 {
         let entry = self.meter.borrow().timeline.clock();
         let seq = self.next_seq();
@@ -455,39 +547,6 @@ impl Communicator {
                 clock: entry,
             },
         );
-        self.deposit(kind, seq, entry, fp, payload);
-        seq
-    }
-
-    /// Wait half of a split-phase collective: register the wait (for
-    /// deadlock diagnostics) and block until every member's deposit for
-    /// `seq` is present. Returns all deposits plus the max entry clock.
-    fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, f64) {
-        let _wait = self.registry.diag.enter_wait(
-            self.world_rank(),
-            WaitSlot {
-                slot: SlotId {
-                    comm: self.link.id(),
-                    seq,
-                },
-                kind,
-                members: self.members.as_ref().clone(),
-            },
-        );
-        self.await_and_collect(kind, seq)
-    }
-
-    /// Place this rank's deposit (entry clock, fingerprint, payload) into
-    /// the rendezvous slot for `seq` through the transport link, waking
-    /// (or notifying) the group when it is the last arrival.
-    fn deposit(
-        &self,
-        kind: CollectiveKind,
-        seq: u64,
-        entry: f64,
-        fp: Option<Fingerprint>,
-        payload: TxPayload,
-    ) {
         let dep = TxDeposit { entry, fp, payload };
         if let Err(e) = self
             .link
@@ -495,23 +554,33 @@ impl Communicator {
         {
             self.link_failure(kind, seq, e);
         }
+        seq
     }
 
-    /// Block until the rendezvous for `seq` is full, then consume it:
-    /// returns all payloads in member order plus the max entry clock, and
-    /// verifies fingerprints when checking is on. The caller must have
-    /// already deposited (and, for diagnostics, registered its wait).
+    /// Wait half of a collective: register the wait (for deadlock
+    /// diagnostics), block until every member's deposit for `seq` is
+    /// present, and consume the rendezvous: returns all payloads in
+    /// member order plus the max entry clock, and verifies fingerprints
+    /// when checking is on.
     ///
     /// Fingerprint verification runs here — above the transport — so
     /// CheckMode gives the identical guarantee whether the fingerprints
     /// arrived through shared memory or piggybacked on socket frames.
-    fn await_and_collect(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, f64) {
+    fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, f64) {
         let size = self.size();
         let slot_id = SlotId {
             comm: self.link.id(),
             seq,
         };
         let diag = &self.registry.diag;
+        let _wait = diag.enter_wait(
+            self.world_rank(),
+            WaitSlot {
+                slot: slot_id,
+                kind,
+                members: self.members.as_ref().clone(),
+            },
+        );
         let deposits = match self.link.collect(
             kind,
             seq,
@@ -553,22 +622,12 @@ impl Communicator {
         p.extract()
     }
 
-    /// Settle a blocking collective: align the clock to the group max
-    /// (and the network lane), then charge `cost` seconds and `words`
-    /// bandwidth-term words under `cat`.
-    fn settle(&self, tmax: f64, cat: Cat, cost: f64, words: u64) {
-        let mut m = self.meter.borrow_mut();
-        m.timeline.settle_blocking(tmax, cat, cost);
-        if words > 0 || cost > 0.0 {
-            m.timeline.record_traffic(cat, words);
-        }
-    }
-
-    /// Settle a nonblocking collective at `wait()`: network-lane charging
-    /// (only the remainder not hidden behind compute advances the clock)
-    /// plus the same traffic bookkeeping as the blocking collectives, so
-    /// word and message counts are identical with overlap on and off.
-    fn settle_overlapped(&self, ready: f64, cat: Cat, cost: f64, words: u64) {
+    /// Settle a completed collective: its α–β `cost` occupies the
+    /// network lane from `ready` (the group's max entry clock), so only
+    /// the remainder not hidden behind compute advances the clock and an
+    /// op waited at once charges exactly `cost`; plus the traffic
+    /// bookkeeping, identical with overlap on and off.
+    fn settle_pending(&self, ready: f64, cat: Cat, cost: f64, words: u64) {
         let mut m = self.meter.borrow_mut();
         m.timeline.settle_pending(ready, cat, cost);
         if words > 0 || cost > 0.0 {
@@ -579,9 +638,14 @@ impl Communicator {
     /// Barrier across the group.
     pub fn barrier(&self) {
         let fp = self.fingerprint(CollectiveKind::Barrier, None, None, "()", Shape::Words(0));
-        let (_, tmax) = self.exchange_raw(CollectiveKind::Barrier, fp, TxPayload::unit());
-        let cost = self.model().barrier_time(self.size());
-        self.settle(tmax, Cat::Misc, cost, 0);
+        self.issue(
+            CollectiveKind::Barrier,
+            Some(Cat::Misc),
+            fp,
+            TxPayload::unit(),
+            Box::new(|comm, _| ((), comm.model().barrier_time(comm.size()), 0)),
+        )
+        .wait()
     }
 
     /// Broadcast from member `root_idx`. The root passes `Some(data)`;
@@ -651,23 +715,6 @@ impl Communicator {
             .wait()
     }
 
-    /// Cached-mode refresh epoch variant of [`Communicator::gather_rows`]:
-    /// identical exchange, costs, and words, but fingerprinted as
-    /// `gather_rows_refresh` so — under CheckMode — a rank serving its
-    /// stale cache while a peer refreshes is reported as a kind mismatch
-    /// instead of hanging or silently diverging (DESIGN.md §13).
-    pub fn gather_rows_refresh(
-        &self,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        cat: Cat,
-    ) -> GatheredRows {
-        self.igather_rows_refresh(root_idx, data, needed, expect, cat)
-            .wait()
-    }
-
     /// Fingerprint shape for `gather_rows`/`igather_rows`: the root
     /// declares its block's dims; receivers declare the dims they expect
     /// (their request sizes legitimately differ, so `needed.len()` never
@@ -680,98 +727,28 @@ impl Communicator {
         }
     }
 
-    /// Shared completion of `gather_rows`/`igather_rows`: pick the root
-    /// block out of the deposits, validate the request and the expected
-    /// dims, build the compact result, and compute (cost, words) per the
-    /// α–β formulas of DESIGN.md §9.
+    /// Completion of `gather_rows`/`igather_rows`: pick the root block
+    /// out of the deposits, validate the request and the expected dims,
+    /// decode only the requested rows, and compute (cost, words) per the
+    /// α–β formulas of DESIGN.md §9. `root_block` is the root's own
+    /// exact block (`None` at receivers): root-resident data never
+    /// crosses the wire, so it is never rounded.
     fn gather_rows_finish(
         &self,
         root_idx: usize,
         needed: &[usize],
         expect: Option<(usize, usize)>,
+        root_block: Option<Arc<Mat>>,
         items: Vec<RxPayload>,
     ) -> (GatheredRows, f64, u64) {
         let deposits: Vec<Arc<GatherRowsDeposit>> = items
             .into_iter()
             .map(Self::downcast::<GatherRowsDeposit>)
             .collect();
-        let Some(block) = deposits[root_idx].data.clone() else {
+        let Some(block) = deposits[root_idx].data.as_ref() else {
             panic!("gather_rows: payload missing at declared root — collective misuse")
         };
-        if let Some((er, ec)) = expect {
-            assert_eq!(
-                (block.rows(), block.cols()),
-                (er, ec),
-                "gather_rows: root block shape differs from the receiver-declared dims"
-            );
-        }
-        let p = self.size();
-        // Wire words per requested row: the row itself plus one index word.
-        let row_words = block.cols() as u64 + 1;
-        let (cost, words) = if self.my_idx == root_idx {
-            let served: u64 = deposits
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != root_idx)
-                .map(|(_, d)| d.needed.len() as u64 * row_words)
-                .sum();
-            let m = self.model();
-            (m.alpha * (p - 1) as f64 + m.beta * served as f64, 0)
-        } else {
-            let w = needed.len() as u64 * row_words;
-            let m = self.model();
-            (2.0 * m.alpha + m.beta * w as f64, w)
-        };
-        let out = if self.my_idx == root_idx {
-            GatheredRows {
-                mat: block,
-                rows: None,
-            }
-        } else {
-            if let Some(&last) = needed.last() {
-                assert!(
-                    last < block.rows(),
-                    "gather_rows: requested row {last} out of range for {}-row block",
-                    block.rows()
-                );
-            }
-            // Compact: k rows, not block.rows() — receiver allocation is
-            // O(k·f) by construction.
-            let mut m = Mat::zeros(needed.len(), block.cols());
-            for (i, &r) in needed.iter().enumerate() {
-                m.row_mut(i).copy_from_slice(block.row(r));
-            }
-            GatheredRows {
-                mat: Arc::new(m),
-                rows: Some(Arc::new(needed.to_vec())),
-            }
-        };
-        (out, cost, words)
-    }
-
-    /// Packed-precision completion of `gather_rows`/`igather_rows`. Same
-    /// structure as [`Communicator::gather_rows_finish`], with two wire
-    /// differences: requested row data is metered at the packed width
-    /// (indices stay full-price u64 words), and the root's result is the
-    /// captured full-precision block — root-resident data never crossed
-    /// the wire, so it is never rounded (DESIGN.md §14).
-    fn gather_rows_finish_packed(
-        &self,
-        root_idx: usize,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        items: Vec<RxPayload>,
-        root_block: Option<Arc<Mat>>,
-        prec: Precision,
-    ) -> (GatheredRows, f64, u64) {
-        let deposits: Vec<Arc<PackedRowsDeposit>> = items
-            .into_iter()
-            .map(Self::downcast::<PackedRowsDeposit>)
-            .collect();
-        let Some(packed) = deposits[root_idx].data.as_ref() else {
-            panic!("gather_rows: payload missing at declared root — collective misuse")
-        };
-        let (brows, bcols) = packed.shape();
+        let (brows, bcols) = block.shape();
         if let Some((er, ec)) = expect {
             assert_eq!(
                 (brows, bcols),
@@ -780,50 +757,33 @@ impl Communicator {
             );
         }
         let p = self.size();
-        // Wire words per requested row: the packed row data (rounded up
-        // to whole words per row — rows are framed individually) plus
-        // one full-price index word.
-        let row_words = 1 + (bcols * prec.bytes_per_value()).div_ceil(8) as u64;
-        let (cost, words) = if self.my_idx == root_idx {
+        let m = self.model();
+        // Wire words per requested row: the row itself plus one index word.
+        let row_words = block.row_words() + 1;
+        if let Some(mat) = root_block {
             let served: u64 = deposits
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != root_idx)
                 .map(|(_, d)| d.needed.len() as u64 * row_words)
                 .sum();
-            let m = self.model();
-            (m.alpha * (p - 1) as f64 + m.beta * served as f64, 0)
-        } else {
-            let w = needed.len() as u64 * row_words;
-            let m = self.model();
-            (2.0 * m.alpha + m.beta * w as f64, w)
+            let cost = m.alpha * (p - 1) as f64 + m.beta * served as f64;
+            return (GatheredRows::full(mat), cost, 0);
+        }
+        if let Some(&last) = needed.last() {
+            assert!(
+                last < brows,
+                "gather_rows: requested row {last} out of range for {brows}-row block"
+            );
+        }
+        let w = needed.len() as u64 * row_words;
+        // Compact: only the k requested rows are decoded and stored —
+        // receiver work and allocation are O(k·f) by construction.
+        let out = GatheredRows {
+            mat: Arc::new(block.rows(needed)),
+            rows: Some(Arc::new(needed.to_vec())),
         };
-        let out = if self.my_idx == root_idx {
-            let Some(block) = root_block else {
-                unreachable!("packed gather_rows root captured its own block at issue time")
-            };
-            GatheredRows {
-                mat: block,
-                rows: None,
-            }
-        } else {
-            if let Some(&last) = needed.last() {
-                assert!(
-                    last < brows,
-                    "gather_rows: requested row {last} out of range for {brows}-row block"
-                );
-            }
-            let block = packed.widen();
-            let mut m = Mat::zeros(needed.len(), bcols);
-            for (i, &r) in needed.iter().enumerate() {
-                m.row_mut(i).copy_from_slice(block.row(r));
-            }
-            GatheredRows {
-                mat: Arc::new(m),
-                rows: Some(Arc::new(needed.to_vec())),
-            }
-        };
-        (out, cost, words)
+        (out, 2.0 * m.alpha + m.beta * w as f64, w)
     }
 
     /// Nonblocking [`Communicator::bcast`]: the rendezvous deposit
@@ -841,10 +801,14 @@ impl Communicator {
     }
 
     /// Nonblocking [`Communicator::bcast_shared`]: issue now, receive at
-    /// [`PendingOp::wait`]. The one body behind both broadcast spellings;
-    /// the cost lands on the network lane, so compute charged between
-    /// issue and wait hides it (see DESIGN.md §10), and an immediate wait
-    /// charges exactly like a blocking collective.
+    /// [`PendingOp::wait`]. The one body behind every broadcast
+    /// spelling; the cost lands on the network lane, so compute charged
+    /// between issue and wait hides it (see DESIGN.md §10), and an
+    /// immediate wait charges exactly like a blocking collective.
+    ///
+    /// Under a packed codec the root rounds its matrix once at issue
+    /// and **every** rank — the root included — widens the packed
+    /// payload at `wait()`, so all members hold bit-identical replicas.
     pub fn ibcast_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         root_idx: usize,
@@ -861,82 +825,32 @@ impl Communicator {
             let Some(d) = data else {
                 unreachable!("single-rank bcast root missing its own data")
             };
-            return PendingOp::ready(self, CollectiveKind::Bcast, cat, d);
+            return PendingOp::ready(self, CollectiveKind::Bcast, d);
         }
-        if let Some(prec) = self.packed_precision::<T>(cat) {
-            return self.ibcast_packed(root_idx, data.map(Self::arc_as_mat), prec);
-        }
-        // The root declares the payload size; everyone else cannot know
-        // it yet and declares a wildcard shape.
-        let shape = match &data {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
+        let codec = self.codec::<T>(cat);
+        // The root declares the payload's wire size; everyone else
+        // cannot know it yet and declares a wildcard shape.
+        let (payload, shape) = match data {
+            Some(d) => {
+                let (payload, words) = codec.encode(d);
+                (payload, Shape::Words(words))
+            }
+            None => (TxPayload::unit(), Shape::Unknown),
         };
         let fp = self.fingerprint(
             CollectiveKind::Bcast,
             Some(root_idx),
             None,
-            std::any::type_name::<T>(),
+            codec.dtype::<T>(),
             shape,
         );
-        let payload = match data {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let seq = self.issue_raw(CollectiveKind::Bcast, fp, payload);
-        PendingOp::in_flight(
-            self,
+        self.issue(
             CollectiveKind::Bcast,
-            cat,
-            seq,
+            Some(codec.cat(cat)),
+            fp,
+            payload,
             Box::new(move |comm, items| {
-                let out = Communicator::downcast::<T>(items[root_idx].clone());
-                let words = out.comm_words();
-                let cost = comm.model().bcast_time(comm.size(), words);
-                (out, cost, words)
-            }),
-        )
-    }
-
-    /// Compressed-precision [`Communicator::ibcast_shared`]: the root
-    /// rounds its matrix to the wire precision once at issue, and
-    /// **every** rank — the root included — widens the packed payload
-    /// back to `f64` at `wait()`, so all members hold bit-identical
-    /// replicas (the replication invariant every dense collective keeps).
-    /// Metered under the precision's own category with the packed word
-    /// count, so the β term halves (f32) or quarters (bf16).
-    fn ibcast_packed<T: Any + Send + Sync>(
-        &self,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        prec: Precision,
-    ) -> PendingOp<'_, Arc<T>> {
-        let packed = data.map(|m| Arc::new(PackedMat::pack(&m, prec)));
-        let shape = match &packed {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
-            CollectiveKind::Bcast,
-            Some(root_idx),
-            None,
-            prec.packed_dtype(),
-            shape,
-        );
-        let payload = match packed {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let seq = self.issue_raw(CollectiveKind::Bcast, fp, payload);
-        PendingOp::in_flight(
-            self,
-            CollectiveKind::Bcast,
-            prec.dense_cat(),
-            seq,
-            Box::new(move |comm, items| {
-                let packed = Communicator::downcast::<PackedMat>(items[root_idx].clone());
-                let out = Communicator::arc_from_mat::<T>(Arc::new(packed.widen()));
-                let words = packed.comm_words();
+                let (out, words) = codec.decode::<T>(&items[root_idx]);
                 let cost = comm.model().bcast_time(comm.size(), words);
                 (out, cost, words)
             }),
@@ -968,8 +882,10 @@ impl Communicator {
 
     /// Cached-mode refresh epoch variant of
     /// [`Communicator::igather_rows`]: identical exchange, costs, and
-    /// words, fingerprinted as `gather_rows_refresh` (see
-    /// [`Communicator::gather_rows_refresh`]).
+    /// words, but fingerprinted as `gather_rows_refresh` so — under
+    /// CheckMode — a rank serving its stale cache while a peer refreshes
+    /// is reported as a kind mismatch instead of hanging or silently
+    /// diverging (DESIGN.md §13).
     pub fn igather_rows_refresh(
         &self,
         root_idx: usize,
@@ -1013,66 +929,25 @@ impl Communicator {
             let Some(block) = data else {
                 unreachable!("single-rank gather_rows root missing its own data")
             };
-            return PendingOp::ready(
-                self,
-                kind,
-                cat,
-                GatheredRows {
-                    mat: block,
-                    rows: None,
-                },
-            );
+            return PendingOp::ready(self, kind, GatheredRows::full(block));
         }
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            // The root's own result must stay exact: capture its
-            // full-precision Arc before packing — root-local data never
-            // crosses the wire, so it is never rounded.
-            let root_block = data.clone();
-            let shape = Self::gather_rows_shape(&data, expect);
-            let fp = self.fingerprint(kind, Some(root_idx), None, prec.packed_dtype(), shape);
-            let deposit = PackedRowsDeposit {
-                needed: needed.to_vec(),
-                data: data.map(|m| PackedMat::pack(&m, prec)),
-            };
-            let seq = self.issue_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-            let needed = needed.to_vec();
-            return PendingOp::in_flight(
-                self,
-                kind,
-                prec.dense_cat(),
-                seq,
-                Box::new(move |comm, items| {
-                    comm.gather_rows_finish_packed(
-                        root_idx,
-                        &needed,
-                        expect,
-                        items,
-                        root_block.clone(),
-                        prec,
-                    )
-                }),
-            );
-        }
+        let codec = self.codec::<Mat>(cat);
         let shape = Self::gather_rows_shape(&data, expect);
-        let fp = self.fingerprint(
-            kind,
-            Some(root_idx),
-            None,
-            std::any::type_name::<Mat>(),
-            shape,
-        );
+        let fp = self.fingerprint(kind, Some(root_idx), None, codec.dtype::<Mat>(), shape);
+        let root_block = data.clone();
         let deposit = GatherRowsDeposit {
             needed: needed.to_vec(),
-            data,
+            data: data.map(|m| codec.encode_mat(m)),
         };
-        let seq = self.issue_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
         let needed = needed.to_vec();
-        PendingOp::in_flight(
-            self,
+        self.issue(
             kind,
-            cat,
-            seq,
-            Box::new(move |comm, items| comm.gather_rows_finish(root_idx, &needed, expect, items)),
+            Some(codec.cat(cat)),
+            fp,
+            TxPayload::of(Arc::new(deposit)),
+            Box::new(move |comm, items| {
+                comm.gather_rows_finish(root_idx, &needed, expect, root_block, items)
+            }),
         )
     }
 
@@ -1093,75 +968,28 @@ impl Communicator {
     /// The blocking form is this op waited at once.
     pub fn iallreduce_mat(&self, m: &Mat, cat: Cat) -> PendingOp<'_, Mat> {
         if self.size() == 1 {
-            return PendingOp::ready(self, CollectiveKind::AllreduceMat, cat, m.clone());
+            return PendingOp::ready(self, CollectiveKind::AllreduceMat, m.clone());
         }
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            return self.iallreduce_mat_packed(m, prec);
-        }
+        let codec = self.codec::<Mat>(cat);
         let fp = self.fingerprint(
             CollectiveKind::AllreduceMat,
             None,
             None,
-            std::any::type_name::<Mat>(),
+            codec.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let seq = self.issue_raw(
+        let (payload, w) = codec.encode(Arc::new(m.clone()));
+        self.issue(
             CollectiveKind::AllreduceMat,
+            Some(codec.cat(cat)),
             fp,
-            TxPayload::of(Arc::new(m.clone())),
-        );
-        PendingOp::in_flight(
-            self,
-            CollectiveKind::AllreduceMat,
-            cat,
-            seq,
+            payload,
             Box::new(move |comm, items| {
                 let mut acc: Option<Mat> = None;
-                for p in items {
-                    let part = Communicator::downcast::<Mat>(p);
+                for item in &items {
+                    let (part, _) = codec.decode::<Mat>(item);
                     match &mut acc {
-                        None => acc = Some((*part).clone()),
-                        Some(a) => cagnet_dense::ops::add_assign(a, &part),
-                    }
-                }
-                let Some(out) = acc else {
-                    unreachable!("iallreduce over an empty communicator")
-                };
-                let p = comm.size();
-                let w = out.len() as u64;
-                let cost = comm.model().allreduce_time(p, w);
-                let words = 2 * w * (p as u64 - 1) / p as u64;
-                (out, cost, words)
-            }),
-        )
-    }
-
-    /// Compressed-precision [`Communicator::iallreduce_mat`]: each
-    /// contribution is rounded once by its sender at issue; every rank
-    /// widens all parts and sums them in `f64` member order at `wait()`,
-    /// so all ranks still return identical bits.
-    fn iallreduce_mat_packed(&self, m: &Mat, prec: Precision) -> PendingOp<'_, Mat> {
-        let packed = Arc::new(PackedMat::pack(m, prec));
-        let w = packed.comm_words();
-        let fp = self.fingerprint(
-            CollectiveKind::AllreduceMat,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let seq = self.issue_raw(CollectiveKind::AllreduceMat, fp, TxPayload::of(packed));
-        PendingOp::in_flight(
-            self,
-            CollectiveKind::AllreduceMat,
-            prec.dense_cat(),
-            seq,
-            Box::new(move |comm, items| {
-                let mut acc: Option<Mat> = None;
-                for p in items {
-                    let part = Communicator::downcast::<PackedMat>(p).widen();
-                    match &mut acc {
-                        None => acc = Some(part),
+                        None => acc = Some(Arc::unwrap_or_clone(part)),
                         Some(a) => cagnet_dense::ops::add_assign(a, &part),
                     }
                 }
@@ -1192,63 +1020,51 @@ impl Communicator {
     /// (its activation slice, its output row block) rides into the
     /// rendezvous without being copied. Fingerprinting and charging are
     /// identical to `allgather`.
+    ///
+    /// Under a packed codec every member widens **all** contributions —
+    /// its own included — so the gathered vector is replicated
+    /// bit-identically across ranks.
     pub fn allgather_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         data: Arc<T>,
         cat: Cat,
     ) -> Vec<Arc<T>> {
-        if let Some(prec) = self.packed_precision::<T>(cat) {
-            return self
-                .allgather_packed(Self::arc_as_mat(data), prec)
-                .into_iter()
-                .map(Self::arc_from_mat)
-                .collect();
-        }
+        let codec = self.codec::<T>(cat);
         // Contribution sizes are legitimately rank-dependent: wildcard.
         let fp = self.fingerprint(
             CollectiveKind::Allgather,
             None,
             None,
-            std::any::type_name::<T>(),
+            codec.dtype::<T>(),
             Shape::Unknown,
         );
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(data));
-        let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
-        let p = self.size();
-        let total: u64 = out.iter().map(|x| x.comm_words()).sum();
-        let cost = self.model().allgather_time(p, total);
-        let words = if p > 1 {
-            total * (p as u64 - 1) / p as u64
-        } else {
-            0
-        };
-        self.settle(tmax, cat, cost, words);
-        out
-    }
-
-    /// Compressed-precision all-gather: every member packs its own
-    /// contribution, and every member widens **all** contributions —
-    /// its own included — so the gathered vector is replicated
-    /// bit-identically across ranks.
-    fn allgather_packed(&self, data: Arc<Mat>, prec: Precision) -> Vec<Arc<Mat>> {
-        let packed = Arc::new(PackedMat::pack(&data, prec));
-        let fp = self.fingerprint(
+        let (payload, _) = codec.encode(data);
+        self.issue(
             CollectiveKind::Allgather,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Unknown,
-        );
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(packed));
-        let parts: Vec<Arc<PackedMat>> =
-            items.into_iter().map(Self::downcast::<PackedMat>).collect();
-        let p = self.size();
-        let total: u64 = parts.iter().map(|x| x.comm_words()).sum();
-        let out: Vec<Arc<Mat>> = parts.iter().map(|x| Arc::new(x.widen())).collect();
-        let cost = self.model().allgather_time(p, total);
-        let words = total * (p as u64 - 1) / p as u64;
-        self.settle(tmax, prec.dense_cat(), cost, words);
-        out
+            Some(codec.cat(cat)),
+            fp,
+            payload,
+            Box::new(move |comm, items| {
+                let mut total = 0;
+                let out: Vec<Arc<T>> = items
+                    .iter()
+                    .map(|item| {
+                        let (part, words) = codec.decode::<T>(item);
+                        total += words;
+                        part
+                    })
+                    .collect();
+                let p = comm.size();
+                let cost = comm.model().allgather_time(p, total);
+                let words = if p > 1 {
+                    total * (p as u64 - 1) / p as u64
+                } else {
+                    0
+                };
+                (out, cost, words)
+            }),
+        )
+        .wait()
     }
 
     /// All-reduce (sum) of equally-shaped matrices; every rank returns the
@@ -1271,15 +1087,19 @@ impl Communicator {
             "f64",
             Shape::Words(1),
         );
-        let (items, tmax) = self.exchange_raw(
+        self.issue(
             CollectiveKind::AllreduceScalar,
+            Some(cat),
             fp,
             TxPayload::of(Arc::new(x)),
-        );
-        let sum: f64 = items.into_iter().map(|p| *Self::downcast::<f64>(p)).sum();
-        let cost = self.model().allreduce_time(self.size(), 1);
-        self.settle(tmax, cat, cost, if self.size() > 1 { 2 } else { 0 });
-        sum
+            Box::new(|comm, items| {
+                let sum: f64 = items.into_iter().map(|p| *Self::downcast::<f64>(p)).sum();
+                let p = comm.size();
+                let cost = comm.model().allreduce_time(p, 1);
+                (sum, cost, if p > 1 { 2 } else { 0 })
+            }),
+        )
+        .wait()
     }
 
     /// Reduce-scatter over block rows: every member contributes an equally
@@ -1288,82 +1108,49 @@ impl Communicator {
     ///
     /// This is the primitive of the 1D backward pass (§IV-A.3): the
     /// low-rank outer products `A_i G_i` are reduce-scattered into block
-    /// rows.
+    /// rows. Under a packed codec every rank widens all parts and sums
+    /// its own block rows in `f64` member order, so a later all-gather
+    /// of the blocks reassembles a replica-consistent matrix.
     pub fn reduce_scatter_rows(&self, m: &Mat, cat: Cat) -> Mat {
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            return self.reduce_scatter_rows_packed(m, prec);
-        }
-        let p = self.size();
+        let codec = self.codec::<Mat>(cat);
         let fp = self.fingerprint(
             CollectiveKind::ReduceScatterRows,
             None,
             None,
-            std::any::type_name::<Mat>(),
+            codec.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let (items, tmax) = self.exchange_raw(
+        let shape = m.shape();
+        let (payload, w) = codec.encode(Arc::new(m.clone()));
+        self.issue(
             CollectiveKind::ReduceScatterRows,
+            Some(codec.cat(cat)),
             fp,
-            TxPayload::of(Arc::new(m.clone())),
-        );
-        let mats: Vec<Arc<Mat>> = items.into_iter().map(Self::downcast::<Mat>).collect();
-        let (r0, r1) = block_range(m.rows(), p, self.my_idx);
-        let mut out = Mat::zeros(r1 - r0, m.cols());
-        for part in &mats {
-            assert_eq!(part.shape(), m.shape(), "reduce_scatter shape mismatch");
-            for (oi, gi) in (r0..r1).enumerate() {
-                let dst = out.row_mut(oi);
-                for (d, s) in dst.iter_mut().zip(part.row(gi)) {
-                    *d += s;
+            payload,
+            Box::new(move |comm, items| {
+                let p = comm.size();
+                let (r0, r1) = block_range(shape.0, p, comm.my_idx);
+                let mut out = Mat::zeros(r1 - r0, shape.1);
+                for item in &items {
+                    let (part, _) = codec.decode::<Mat>(item);
+                    assert_eq!(part.shape(), shape, "reduce_scatter shape mismatch");
+                    for (oi, gi) in (r0..r1).enumerate() {
+                        let dst = out.row_mut(oi);
+                        for (d, s) in dst.iter_mut().zip(part.row(gi)) {
+                            *d += s;
+                        }
+                    }
                 }
-            }
-        }
-        let w = m.len() as u64;
-        let cost = self.model().reduce_scatter_time(p, w);
-        let words = if p > 1 {
-            w * (p as u64 - 1) / p as u64
-        } else {
-            0
-        };
-        self.settle(tmax, cat, cost, words);
-        out
-    }
-
-    /// Compressed-precision [`Communicator::reduce_scatter_rows`]: each
-    /// contribution is rounded once by its sender; every rank widens all
-    /// parts and sums its own block rows in `f64` member order, so a
-    /// later all-gather of the blocks reassembles a replica-consistent
-    /// matrix.
-    fn reduce_scatter_rows_packed(&self, m: &Mat, prec: Precision) -> Mat {
-        let p = self.size();
-        let packed = Arc::new(PackedMat::pack(m, prec));
-        let w = packed.comm_words();
-        let fp = self.fingerprint(
-            CollectiveKind::ReduceScatterRows,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let (items, tmax) =
-            self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, TxPayload::of(packed));
-        let (r0, r1) = block_range(m.rows(), p, self.my_idx);
-        let mut out = Mat::zeros(r1 - r0, m.cols());
-        for item in items {
-            let part = Self::downcast::<PackedMat>(item);
-            assert_eq!(part.shape(), m.shape(), "reduce_scatter shape mismatch");
-            let part = part.widen();
-            for (oi, gi) in (r0..r1).enumerate() {
-                let dst = out.row_mut(oi);
-                for (d, s) in dst.iter_mut().zip(part.row(gi)) {
-                    *d += s;
-                }
-            }
-        }
-        let cost = self.model().reduce_scatter_time(p, w);
-        let words = w * (p as u64 - 1) / p as u64;
-        self.settle(tmax, prec.dense_cat(), cost, words);
-        out
+                let cost = comm.model().reduce_scatter_time(p, w);
+                let words = if p > 1 {
+                    w * (p as u64 - 1) / p as u64
+                } else {
+                    0
+                };
+                (out, cost, words)
+            }),
+        )
+        .wait()
     }
 
     /// All-to-all personalized exchange: `parts[j]` is sent to member `j`;
@@ -1386,24 +1173,32 @@ impl Communicator {
             std::any::type_name::<T>(),
             Shape::Count(parts.len()),
         );
-        let (items, tmax) =
-            self.exchange_raw(CollectiveKind::Alltoall, fp, TxPayload::of(Arc::new(parts)));
-        let all: Vec<Arc<Vec<T>>> = items.into_iter().map(Self::downcast::<Vec<T>>).collect();
-        let out: Vec<T> = all.iter().map(|v| v[self.my_idx].clone()).collect();
-        let p = self.size();
-        let recv_words: u64 = out
-            .iter()
-            .enumerate()
-            .filter(|(src, _)| *src != self.my_idx)
-            .map(|(_, x)| x.comm_words())
-            .sum();
-        let cost = if p > 1 {
-            self.model().alpha * (p - 1) as f64 + self.model().beta * recv_words as f64
-        } else {
-            0.0
-        };
-        self.settle(tmax, cat, cost, recv_words);
-        out
+        self.issue(
+            CollectiveKind::Alltoall,
+            Some(cat),
+            fp,
+            TxPayload::of(Arc::new(parts)),
+            Box::new(|comm, items| {
+                let me = comm.my_idx;
+                let all: Vec<Arc<Vec<T>>> =
+                    items.into_iter().map(Self::downcast::<Vec<T>>).collect();
+                let out: Vec<T> = all.iter().map(|v| v[me].clone()).collect();
+                let p = comm.size();
+                let recv_words: u64 = out
+                    .iter()
+                    .enumerate()
+                    .filter(|(src, _)| *src != me)
+                    .map(|(_, x)| x.comm_words())
+                    .sum();
+                let cost = if p > 1 {
+                    comm.model().alpha * (p - 1) as f64 + comm.model().beta * recv_words as f64
+                } else {
+                    0.0
+                };
+                (out, cost, recv_words)
+            }),
+        )
+        .wait()
     }
 
     /// Gather: every member contributes; only `root_idx` receives the
@@ -1423,21 +1218,28 @@ impl Communicator {
             std::any::type_name::<T>(),
             Shape::Unknown,
         );
-        let (items, tmax) =
-            self.exchange_raw(CollectiveKind::Gather, fp, TxPayload::of(Arc::new(data)));
-        let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
-        let p = self.size();
-        let total: u64 = out.iter().map(|x| x.comm_words()).sum();
-        let mine = out[self.my_idx].comm_words();
-        let (cost, words) = if p <= 1 {
-            (0.0, 0)
-        } else if self.my_idx == root_idx {
-            (self.model().allgather_time(p, total), total - mine)
-        } else {
-            (self.model().p2p_time(mine), mine)
-        };
-        self.settle(tmax, cat, cost, words);
-        (self.my_idx == root_idx).then_some(out)
+        self.issue(
+            CollectiveKind::Gather,
+            Some(cat),
+            fp,
+            TxPayload::of(Arc::new(data)),
+            Box::new(move |comm, items| {
+                let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
+                let p = comm.size();
+                let total: u64 = out.iter().map(|x| x.comm_words()).sum();
+                let mine = out[comm.my_idx].comm_words();
+                let is_root = comm.my_idx == root_idx;
+                let (cost, words) = if p <= 1 {
+                    (0.0, 0)
+                } else if is_root {
+                    (comm.model().allgather_time(p, total), total - mine)
+                } else {
+                    (comm.model().p2p_time(mine), mine)
+                };
+                (is_root.then_some(out), cost, words)
+            }),
+        )
+        .wait()
     }
 
     /// Scatter: `root_idx` supplies one part per member (`Some(parts)` of
@@ -1472,26 +1274,34 @@ impl Communicator {
             Some(p) => TxPayload::of(Arc::new(p)),
             None => TxPayload::unit(),
         };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Scatter, fp, payload);
-        let all = Self::downcast::<Vec<T>>(items[root_idx].clone());
-        let mine = all[self.my_idx].clone();
-        let p = self.size();
-        let (cost, words) = if p <= 1 {
-            (0.0, 0)
-        } else if self.my_idx == root_idx {
-            // `allgather_time` takes *total* words and applies the
-            // (p−1)/p bandwidth discount itself, so the root charges the
-            // full vector (its own part included, mirroring `gather`) and
-            // records only the words actually sent to the leaves.
-            let total: u64 = all.iter().map(|x| x.comm_words()).sum();
-            let sent = total - all[root_idx].comm_words();
-            (self.model().allgather_time(p, total), sent)
-        } else {
-            let w = mine.comm_words();
-            (self.model().p2p_time(w), w)
-        };
-        self.settle(tmax, cat, cost, words);
-        mine
+        self.issue(
+            CollectiveKind::Scatter,
+            Some(cat),
+            fp,
+            payload,
+            Box::new(move |comm, items| {
+                let all = Self::downcast::<Vec<T>>(items[root_idx].clone());
+                let mine = all[comm.my_idx].clone();
+                let p = comm.size();
+                let (cost, words) = if p <= 1 {
+                    (0.0, 0)
+                } else if comm.my_idx == root_idx {
+                    // `allgather_time` takes *total* words and applies the
+                    // (p−1)/p bandwidth discount itself, so the root charges
+                    // the full vector (its own part included, mirroring
+                    // `gather`) and records only the words actually sent
+                    // to the leaves.
+                    let total: u64 = all.iter().map(|x| x.comm_words()).sum();
+                    let sent = total - all[root_idx].comm_words();
+                    (comm.model().allgather_time(p, total), sent)
+                } else {
+                    let w = mine.comm_words();
+                    (comm.model().p2p_time(w), w)
+                };
+                (mine, cost, words)
+            }),
+        )
+        .wait()
     }
 
     /// Paired point-to-point exchange: send `outgoing` to `partner_idx`
@@ -1527,34 +1337,46 @@ impl Communicator {
             Some(d) => TxPayload::of(Arc::new(d)),
             None => TxPayload::unit(),
         };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Sendrecv, fp, payload);
-        match partner_idx {
-            Some(partner) => {
-                let msg = Self::downcast::<T>(items[partner].clone());
-                let words = msg.comm_words();
-                let cost = self.model().p2p_time(words);
-                self.settle(tmax, cat, cost, words);
-                Some(msg)
-            }
-            None => {
-                self.settle(tmax, cat, 0.0, 0);
-                None
-            }
-        }
+        self.issue(
+            CollectiveKind::Sendrecv,
+            Some(cat),
+            fp,
+            payload,
+            Box::new(move |comm, items| match partner_idx {
+                Some(partner) => {
+                    let msg = Self::downcast::<T>(items[partner].clone());
+                    let words = msg.comm_words();
+                    (Some(msg), comm.model().p2p_time(words), words)
+                }
+                None => (None, 0.0, 0),
+            }),
+        )
+        .wait()
     }
 
     /// Split into sub-communicators by color (MPI `comm_split` without the
     /// key argument: member order within a color follows parent order).
+    /// A setup-time exchange of colors: it charges nothing.
     pub fn split(&self, color: u64) -> Communicator {
-        let seq_for_key = self.seq.get(); // same at every member pre-exchange
-                                          // Colors are legitimately rank-dependent: wildcard shape.
+        // Same at every member before the exchange.
+        let seq_for_key = self.seq.get();
+        // Colors are legitimately rank-dependent: wildcard shape.
         let fp = self.fingerprint(CollectiveKind::Split, None, None, "u64", Shape::Unknown);
-        let (items, _tmax) =
-            self.exchange_raw(CollectiveKind::Split, fp, TxPayload::of(Arc::new(color)));
-        let colors: Vec<u64> = items
-            .into_iter()
-            .map(|p| *Self::downcast::<u64>(p))
-            .collect();
+        let colors = self
+            .issue(
+                CollectiveKind::Split,
+                None,
+                fp,
+                TxPayload::of(Arc::new(color)),
+                Box::new(|_, items| {
+                    let colors: Vec<u64> = items
+                        .into_iter()
+                        .map(|p| *Self::downcast::<u64>(p))
+                        .collect();
+                    (colors, 0.0, 0)
+                }),
+            )
+            .wait();
         let group: Vec<usize> = (0..self.size())
             .filter(|&i| colors[i] == color)
             .map(|i| self.members[i])
@@ -1583,25 +1405,32 @@ impl Communicator {
 type Finisher<'c, T> = Box<dyn FnOnce(&Communicator, Vec<RxPayload>) -> (T, f64, u64) + 'c>;
 
 enum PendingState<'c, T> {
-    /// Single-rank fast path: the result was available at issue and the
-    /// op is free, exactly like the blocking forms at `P = 1`.
+    /// Single-rank group: the result was available at issue, and any
+    /// charge was settled there.
     Ready(T),
-    /// Rendezvous in flight: deposit made, completion pending.
-    InFlight { seq: u64, finish: Finisher<'c, T> },
+    /// Rendezvous in flight: deposit made, completion pending; the
+    /// result is charged under `cat` (`None`: uncharged).
+    InFlight {
+        seq: u64,
+        cat: Option<Cat>,
+        finish: Finisher<'c, T>,
+    },
 }
 
-/// A nonblocking collective in flight, returned by
-/// [`Communicator::ibcast`], [`Communicator::ibcast_shared`],
-/// [`Communicator::igather_rows`], and [`Communicator::iallreduce_mat`].
+/// A collective in flight. Every collective is issued as one: the
+/// nonblocking forms [`Communicator::ibcast`],
+/// [`Communicator::ibcast_shared`], [`Communicator::igather_rows`],
+/// [`Communicator::igather_rows_refresh`] and
+/// [`Communicator::iallreduce_mat`] return it, and every blocking
+/// collective waits on its own op at once.
 ///
 /// The rendezvous deposit happened at issue time — peers can already
-/// consume it, and CheckMode fingerprints ride along exactly as in the
-/// blocking forms — so issuing is free and never blocks.
-/// [`PendingOp::wait`] blocks for the group, returns the payload, and
-/// settles the α–β cost on the network lane: compute charged between
-/// issue and wait covers the cost, and only the uncovered remainder
-/// advances the clock (metered split: [`Cat::Overlapped`] vs. the op's
-/// category; see DESIGN.md §10).
+/// consume it, and CheckMode fingerprints ride along with it — so
+/// issuing is free and never blocks. [`PendingOp::wait`] blocks for the
+/// group, returns the payload, and settles the α–β cost on the network
+/// lane: compute charged between issue and wait covers the cost, and
+/// only the uncovered remainder advances the clock (metered split:
+/// [`Cat::Overlapped`] vs. the op's category; see DESIGN.md §10).
 ///
 /// Every issued op **must** be waited on every control-flow path:
 /// dropping a `PendingOp` without `wait()` panics with a diagnostic,
@@ -1611,16 +1440,14 @@ enum PendingState<'c, T> {
 pub struct PendingOp<'c, T> {
     comm: &'c Communicator,
     kind: CollectiveKind,
-    cat: Cat,
     state: Option<PendingState<'c, T>>,
 }
 
 impl<'c, T> PendingOp<'c, T> {
-    fn ready(comm: &'c Communicator, kind: CollectiveKind, cat: Cat, value: T) -> Self {
+    fn ready(comm: &'c Communicator, kind: CollectiveKind, value: T) -> Self {
         PendingOp {
             comm,
             kind,
-            cat,
             state: Some(PendingState::Ready(value)),
         }
     }
@@ -1628,15 +1455,14 @@ impl<'c, T> PendingOp<'c, T> {
     fn in_flight(
         comm: &'c Communicator,
         kind: CollectiveKind,
-        cat: Cat,
+        cat: Option<Cat>,
         seq: u64,
         finish: Finisher<'c, T>,
     ) -> Self {
         PendingOp {
             comm,
             kind,
-            cat,
-            state: Some(PendingState::InFlight { seq, finish }),
+            state: Some(PendingState::InFlight { seq, cat, finish }),
         }
     }
 
@@ -1654,10 +1480,12 @@ impl<'c, T> PendingOp<'c, T> {
         };
         match state {
             PendingState::Ready(v) => v,
-            PendingState::InFlight { seq, finish } => {
+            PendingState::InFlight { seq, cat, finish } => {
                 let (items, ready) = self.comm.complete_raw(self.kind, seq);
                 let (out, cost, words) = finish(self.comm, items);
-                self.comm.settle_overlapped(ready, self.cat, cost, words);
+                if let Some(cat) = cat {
+                    self.comm.settle_pending(ready, cat, cost, words);
+                }
                 out
             }
         }

@@ -612,6 +612,33 @@ fn bf16_from_f32(x: f32) -> u16 {
     (rounded >> 16) as u16
 }
 
+/// Append the exact `f64` widening of `bytes`, packed values of
+/// `precision` in little-endian order.
+fn widen_into(precision: Precision, bytes: &[u8], out: &mut Vec<f64>) {
+    match precision {
+        Precision::F64 => {
+            for c in bytes.chunks_exact(8) {
+                let mut a = [0u8; 8];
+                a.copy_from_slice(c);
+                out.push(f64::from_bits(u64::from_le_bytes(a)));
+            }
+        }
+        Precision::F32 => {
+            for c in bytes.chunks_exact(4) {
+                let mut a = [0u8; 4];
+                a.copy_from_slice(c);
+                out.push(f64::from(f32::from_bits(u32::from_le_bytes(a))));
+            }
+        }
+        Precision::Bf16 => {
+            for c in bytes.chunks_exact(2) {
+                let h = u16::from_le_bytes([c[0], c[1]]);
+                out.push(f64::from(f32::from_bits(u32::from(h) << 16)));
+            }
+        }
+    }
+}
+
 /// A dense matrix converted to a narrower wire precision — the payload
 /// type dense collectives deposit when compression is on. The sender
 /// rounds exactly once ([`PackedMat::pack`]); [`PackedMat::widen`] is
@@ -658,31 +685,34 @@ impl PackedMat {
     /// and bf16 value is representable in `f64` — so all receivers of
     /// the same packed payload hold bit-identical replicas.
     pub fn widen(&self) -> Mat {
-        let n = self.rows * self.cols;
-        let mut data = Vec::with_capacity(n);
-        match self.precision {
-            Precision::F64 => {
-                for c in self.bytes.chunks_exact(8) {
-                    let mut a = [0u8; 8];
-                    a.copy_from_slice(c);
-                    data.push(f64::from_bits(u64::from_le_bytes(a)));
-                }
-            }
-            Precision::F32 => {
-                for c in self.bytes.chunks_exact(4) {
-                    let mut a = [0u8; 4];
-                    a.copy_from_slice(c);
-                    data.push(f64::from(f32::from_bits(u32::from_le_bytes(a))));
-                }
-            }
-            Precision::Bf16 => {
-                for c in self.bytes.chunks_exact(2) {
-                    let h = u16::from_le_bytes([c[0], c[1]]);
-                    data.push(f64::from(f32::from_bits(u32::from(h) << 16)));
-                }
-            }
-        }
+        let mut data = Vec::with_capacity(self.rows * self.cols);
+        widen_into(self.precision, &self.bytes, &mut data);
         Mat::from_vec(self.rows, self.cols, data)
+    }
+
+    /// The listed rows of [`PackedMat::widen`], in order, converting
+    /// only those rows: a receiver that needs `k` of `n` rows does
+    /// `O(k·f)` work and allocation, never `O(n·f)`.
+    ///
+    /// # Panics
+    /// If a listed row is out of range.
+    pub fn widen_rows(&self, rows: &[usize]) -> Mat {
+        let row_bytes = self.cols * self.precision.bytes_per_value();
+        let mut data = Vec::with_capacity(rows.len() * self.cols);
+        for &r in rows {
+            assert!(
+                r < self.rows,
+                "widen_rows: row {r} out of range for {}-row matrix",
+                self.rows
+            );
+            let start = r * row_bytes;
+            widen_into(
+                self.precision,
+                &self.bytes[start..start + row_bytes],
+                &mut data,
+            );
+        }
+        Mat::from_vec(rows.len(), self.cols, data)
     }
 
     /// Wire precision of this payload.
@@ -1284,6 +1314,49 @@ mod tests {
         assert_eq!(back.entry, 0.125);
         assert_eq!(back.fp, msg.fp);
         assert_eq!(back.payload, msg.payload);
+    }
+
+    #[test]
+    fn widen_rows_matches_the_same_rows_of_widen() {
+        let tie32 = 1.0 + f64::powi(2.0, -24); // halfway between two f32s
+        let tie16 = 1.0 + f64::powi(2.0, -8); // halfway between two bf16s
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 3.0, // f64 subnormal
+            1e-40,                   // f32 (and bf16) subnormal
+            -1e-45,
+            0.0,
+            -0.0,
+            tie32,
+            -tie32,
+            1.0 + 3.0 * f64::powi(2.0, -24),
+            tie16,
+            1.0 + 3.0 * f64::powi(2.0, -8),
+            f64::MAX,
+            0.1,
+        ];
+        let m = Mat::from_fn(5, 4, |i, j| {
+            specials[(i * 4 + j) % specials.len()] * if i == 4 { -1.5 } else { 1.0 }
+        });
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for precision in [Precision::F32, Precision::Bf16] {
+            let packed = PackedMat::pack(&m, precision);
+            let full = packed.widen();
+            let rows = [4, 0, 2, 3];
+            let some = packed.widen_rows(&rows);
+            assert_eq!(some.shape(), (rows.len(), 4));
+            for (i, &r) in rows.iter().enumerate() {
+                assert_eq!(
+                    bits(some.row(i)),
+                    bits(full.row(r)),
+                    "{precision:?} row {r}"
+                );
+            }
+            assert_eq!(packed.widen_rows(&[]).shape(), (0, 4));
+        }
     }
 
     #[test]

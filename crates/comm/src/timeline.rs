@@ -11,12 +11,12 @@
 //!
 //! The timeline is **dual-lane** (DESIGN.md §10): the clock is the
 //! *compute lane*, while `net_free` tracks when the *network lane* next
-//! becomes free. Blocking collectives occupy both lanes; a nonblocking
-//! collective's α–β cost occupies only the network lane from issue
-//! readiness onward, so local charges issued before its `wait()` run
-//! concurrently — the covered portion is metered as [`Cat::Overlapped`]
-//! and only the uncovered remainder advances the clock, making a
-//! pipelined stage cost `max(compute, comm)` instead of their sum.
+//! becomes free. A collective's α–β cost occupies the network lane from
+//! issue readiness onward, so local charges made between its issue and
+//! its `wait()` run concurrently — the covered portion is metered as
+//! [`Cat::Overlapped`] and only the uncovered remainder advances the
+//! clock, making a pipelined stage cost `max(compute, comm)` instead of
+//! their sum. A blocking collective, waited at once, occupies both lanes.
 
 use crate::cost::{Cat, CostModel, ALL_CATS, NUM_CATS};
 use crate::trace::TraceEvent;
@@ -103,26 +103,15 @@ impl Timeline {
         }
     }
 
-    /// Settle a **blocking** collective: both lanes engage. The op starts
-    /// when the last participant arrived (`tmax`) *and* the network lane
-    /// is free; the gap to the start is idle wait, the cost advances both
-    /// lanes together. With no pending ops in flight `net_free ≤ clock`,
-    /// so this reduces exactly to the historic `sync_to(tmax)` +
-    /// `charge(cat, cost)`.
-    pub fn settle_blocking(&mut self, tmax: f64, cat: Cat, cost: f64) {
-        let start = tmax.max(self.net_free);
-        self.sync_to(start);
-        self.charge(cat, cost);
-        self.net_free = self.clock;
-    }
-
-    /// Settle a **nonblocking** collective at `wait()` time: its α–β
-    /// `cost` occupies the network lane from `max(ready, net_free)`,
-    /// where `ready` is the rendezvous' max entry clock. The portion the
-    /// compute lane has already covered is metered as
-    /// [`Cat::Overlapped`] without advancing the clock; only the
-    /// uncovered remainder (plus any gap until the op could start) moves
-    /// the clock, so a fully hidden op costs zero modeled time.
+    /// Settle a collective at `wait()` time: its α–β `cost` occupies
+    /// the network lane from `max(ready, net_free)`, where `ready` is
+    /// the rendezvous' max entry clock. The portion the compute lane has
+    /// already covered is metered as [`Cat::Overlapped`] without
+    /// advancing the clock; only the uncovered remainder (plus any gap
+    /// until the op could start) moves the clock, so a fully hidden op
+    /// costs zero modeled time. An op waited right after its issue —
+    /// every blocking collective — hides nothing: it idles until the op
+    /// can start and then charges exactly `cost`, occupying both lanes.
     pub fn settle_pending(&mut self, ready: f64, cat: Cat, cost: f64) {
         debug_assert!(cost >= 0.0, "negative pending cost");
         let net_start = ready.max(self.net_free);
@@ -398,11 +387,12 @@ mod tests {
 
     #[test]
     fn settle_blocking_matches_historic_sync_then_charge() {
-        // With no pending ops, the lane-aware settle is numerically
-        // identical to sync_to + charge.
+        // With no pending ops, the lane-aware settle of a blocking
+        // collective (an op waited at once) is numerically identical to
+        // sync_to + charge.
         let mut a = Timeline::new();
         a.charge(Cat::Spmm, 1.0);
-        a.settle_blocking(3.0, Cat::DenseComm, 0.5);
+        a.settle_pending(3.0, Cat::DenseComm, 0.5);
         let mut b = Timeline::new();
         b.charge(Cat::Spmm, 1.0);
         b.sync_to(3.0);
@@ -421,7 +411,8 @@ mod tests {
         a.settle_pending(0.1, Cat::DenseComm, 0.2);
         let mut b = Timeline::new();
         b.charge(Cat::Spmm, 0.1);
-        b.settle_blocking(0.1, Cat::DenseComm, 0.2);
+        b.sync_to(0.1);
+        b.charge(Cat::DenseComm, 0.2);
         assert_eq!(a.clock(), b.clock());
         assert_eq!(a.seconds(Cat::Idle), b.seconds(Cat::Idle));
         assert_eq!(a.seconds(Cat::DenseComm), b.seconds(Cat::DenseComm));
@@ -487,7 +478,8 @@ mod tests {
         let mut t = Timeline::new();
         t.charge(Cat::Spmm, 2.0);
         t.settle_pending(0.5, Cat::DenseComm, 3.0);
-        t.settle_blocking(7.0, Cat::Misc, 0.25);
+        t.sync_to(7.0);
+        t.charge(Cat::Misc, 0.25);
         let rep = t.report();
         assert!((rep.busy_seconds() - rep.clock).abs() < 1e-12);
         assert!(rep.seconds(Cat::Overlapped) > 0.0);

@@ -5,8 +5,9 @@
 //! keep root-resident data exact, and fail CheckMode with a *named*
 //! dtype when ranks disagree on the wire precision.
 
-use cagnet_comm::{Cat, CheckMode, Cluster, CostModel, Precision};
+use cagnet_comm::{Cat, CheckMode, Cluster, CostModel, PackedMat, Precision};
 use cagnet_dense::Mat;
+use cagnet_sparse::partition::block_range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -269,4 +270,66 @@ fn single_rank_runs_never_round() {
     // Compression is a wire property; with no wire there is no rounding.
     assert_eq!(summed, &irr_mat(5, 5, 3));
     assert_eq!(b, &irr_mat(5, 5, 3));
+}
+
+#[test]
+fn packed_allgather_and_reduce_scatter_replicate_rounded_parts() {
+    let p = 3;
+    // Uneven part shapes for the all-gathers; a 7-row reduce-scatter
+    // input, so the row blocks are uneven too.
+    let part = |r: usize| irr_mat(2 + r, 5, 40 + r as u64);
+    let contrib = |r: usize| irr_mat(7, 3, 50 + r as u64);
+    for prec in [Precision::F32, Precision::Bf16] {
+        let round = |m: &Mat| PackedMat::pack(m, prec).widen();
+        let packed_words = |m: &Mat| PackedMat::pack(m, prec).wire_words();
+        let results = Cluster::new(p).with_precision(prec).run(|ctx| {
+            let r = ctx.rank;
+            let gathered = ctx.world.allgather(part(r), Cat::DenseComm);
+            let after_allgather = ctx.report();
+            let shared = ctx
+                .world
+                .allgather_shared(Arc::new(part(r)), Cat::DenseComm);
+            let after_shared = ctx.report();
+            let block = ctx.world.reduce_scatter_rows(&contrib(r), Cat::DenseComm);
+            let unwrap = |v: Vec<Arc<Mat>>| v.iter().map(|m| (**m).clone()).collect::<Vec<_>>();
+            (
+                unwrap(gathered),
+                unwrap(shared),
+                block,
+                [after_allgather, after_shared, ctx.report()],
+            )
+        });
+        let total: u64 = (0..p).map(|r| packed_words(&part(r))).sum();
+        let gather_words = total * (p as u64 - 1) / p as u64;
+        let rs_words = packed_words(&contrib(0)) * (p as u64 - 1) / p as u64;
+        for (rank, ((gathered, shared, block, reps), _)) in results.iter().enumerate() {
+            let ctx = format!("{prec:?} rank {rank}");
+            // Every rank, the contributor included, holds the rounded
+            // value of every part.
+            for r in 0..p {
+                let expect = round(&part(r));
+                assert_ne!(expect, part(r), "{ctx}: rounding must be observable");
+                assert_eq!(gathered[r], expect, "{ctx}: allgather part {r}");
+                assert_eq!(shared[r], expect, "{ctx}: allgather_shared part {r}");
+            }
+            // The block is the f64 member-order sum of the widened parts.
+            let mut sum = round(&contrib(0));
+            for r in 1..p {
+                cagnet_dense::ops::add_assign(&mut sum, &round(&contrib(r)));
+            }
+            let (r0, r1) = block_range(7, p, rank);
+            assert_eq!(block.shape(), (r1 - r0, 3), "{ctx}");
+            for (oi, gi) in (r0..r1).enumerate() {
+                assert_eq!(block.row(oi), sum.row(gi), "{ctx}: block row {gi}");
+            }
+            // Packed word counts, all under the precision's category.
+            let packed_cat = prec.dense_cat();
+            let cumulative = [gather_words, 2 * gather_words, 2 * gather_words + rs_words];
+            for (rep, expect) in reps.iter().zip(cumulative) {
+                assert_eq!(rep.words(packed_cat), expect, "{ctx}");
+                assert_eq!(rep.words(Cat::DenseComm), 0, "{ctx}");
+            }
+            assert_eq!(reps[2].messages(packed_cat), 3, "{ctx}");
+        }
+    }
 }

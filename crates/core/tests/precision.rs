@@ -148,28 +148,39 @@ fn oned_sparsity_aware_f32_parity() {
 fn f32_socket_transport_is_bit_identical_to_shared() {
     use cagnet_comm::TransportKind;
     let (problem, gcn) = small_problem();
-    let run = |transport| {
-        let tc = TrainConfig {
-            epochs: 3,
-            precision: Precision::F32,
-            transport: Some(transport),
-            ..TrainConfig::default()
+    // 1D drives packed bcasts and reduce-scatters, 1.5D packed
+    // all-gathers and reduce-scatters on its team/replica groups, 2D
+    // packed SUMMA bcasts and all-reduces.
+    for (algo, p) in [
+        (Algorithm::OneD, 2),
+        (Algorithm::One5D { c: 2 }, 4),
+        (Algorithm::TwoD, 4),
+    ] {
+        let run = |transport| {
+            let tc = TrainConfig {
+                epochs: 3,
+                precision: Precision::F32,
+                transport: Some(transport),
+                ..TrainConfig::default()
+            };
+            train_distributed(
+                &problem,
+                &gcn,
+                algo,
+                p,
+                cagnet_comm::CostModel::summit_like(),
+                &tc,
+            )
         };
-        train_distributed(
-            &problem,
-            &gcn,
-            Algorithm::OneD,
-            2,
-            cagnet_comm::CostModel::summit_like(),
-            &tc,
-        )
-    };
-    // The packed bytes cross the socket verbatim and widen identically,
-    // so even rounded runs stay bit-identical across backends.
-    let shared = run(TransportKind::Shared);
-    let socket = run(TransportKind::Socket);
-    assert_eq!(shared.losses, socket.losses);
-    assert_eq!(shared.weights, socket.weights);
-    assert_eq!(shared.embeddings, socket.embeddings);
-    assert_eq!(shared.reports, socket.reports);
+        // The packed bytes cross the socket verbatim and widen
+        // identically, so even rounded runs stay bit-identical across
+        // backends.
+        let shared = run(TransportKind::Shared);
+        let socket = run(TransportKind::Socket);
+        let name = algo.name();
+        assert_eq!(shared.losses, socket.losses, "{name}");
+        assert_eq!(shared.weights, socket.weights, "{name}");
+        assert_eq!(shared.embeddings, socket.embeddings, "{name}");
+        assert_eq!(shared.reports, socket.reports, "{name}");
+    }
 }
