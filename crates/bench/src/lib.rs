@@ -3,13 +3,24 @@
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§V–§VI), plus the analysis-section comparisons:
 //!
-//! | binary        | reproduces                                        |
-//! |---------------|---------------------------------------------------|
-//! | `table6`      | Table VI — dataset characteristics                |
-//! | `figure2`     | Figure 2 — 2D epoch throughput vs device count    |
-//! | `figure3`     | Figure 3 — per-epoch time breakdown               |
-//! | `comm_volume` | §IV cost analysis — measured vs closed-form words |
-//! | `edgecut`     | §IV-A.8 — partitioner vs random distribution      |
+//! | binary            | reproduces or measures                                  |
+//! |-------------------|---------------------------------------------------------|
+//! | `table6`          | Table VI — dataset characteristics                      |
+//! | `figure2`         | Figure 2 — 2D epoch throughput vs device count          |
+//! | `figure3`         | Figure 3 — per-epoch time breakdown                     |
+//! | `comm_volume`     | §IV cost analysis — measured vs closed-form words       |
+//! | `paper_scale`     | §IV formulas at the paper's full dataset sizes          |
+//! | `edgecut`         | §IV-A.8 — partitioner vs random distribution            |
+//! | `rect_grid`       | §IV-C.6 — rectangular grids: sparse vs dense traffic    |
+//! | `memory`          | per-rank memory footprints (§I, §IV-A.3, §IV-B, §IV-D)  |
+//! | `load_balance`    | §I — load balance of 1D vs 2D/3D on scale-free graphs   |
+//! | `ablations`       | ablations: SUMMA blocking, bcast, c, network, width     |
+//! | `sparsity_volume` | dense vs sparsity-aware words per trainer (DESIGN §9)   |
+//! | `cached_bench`    | cached halo tier: convergence and volume (DESIGN §13)   |
+//! | `overlap_bench`   | overlap on vs off, modeled and wall-clock (DESIGN §10)  |
+//! | `kernel_bench`    | wall-clock GEMM/SpMM kernels vs reference (DESIGN §14)  |
+//! | `trace`           | Chrome-trace JSON of one 2D training epoch              |
+//! | `runner`          | any dataset × algorithm × process count, one result row |
 //!
 //! Criterion benches (`cargo bench`) cover the local kernels, the
 //! simulated collectives, whole training epochs, and the design-choice

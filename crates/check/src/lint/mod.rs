@@ -35,14 +35,14 @@
 //! **Semantic analyses** — the invariants behind the runtime
 //! bit-identity and deadlock tests, checked statically:
 //!
-//! * **`collective-order`** ([`order`]): sibling branches in
+//! * **`collective-order`** (module `order`): sibling branches in
 //!   `crates/core/src/dist/` (CommMode arms, overlap Some/None arms)
 //!   must issue identical normalized collective kind-sequences.
-//! * **`lock-order`** ([`locks`]): the Mutex acquisition graph over
+//! * **`lock-order`** (module `locks`): the Mutex acquisition graph over
 //!   `comm/src` must be acyclic, locks are never re-acquired while
 //!   held, and `.lock().unwrap()` never bypasses the blessed
 //!   poison-recovering helpers.
-//! * **`frame-exhaustiveness`** ([`frames`]): every `FrameKind`
+//! * **`frame-exhaustiveness`** (module `frames`): every `FrameKind`
 //!   variant is handled in a dispatch match in `proc.rs`, and every
 //!   wire-precision tag (`Precision` variant) declared in `frame.rs`
 //!   is handled by the pack/widen/codec matches in `frame.rs` itself.

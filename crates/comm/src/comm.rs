@@ -4,7 +4,7 @@
 //! process group (world, grid row, grid column, fiber, ...). Collectives
 //! are **bulk-synchronous**: all members must call the same collectives in
 //! the same order, exactly as the paper's NCCL-backed implementation
-//! requires. Payloads move through a [`CommLink`] — `Arc` pointer copies
+//! requires. Payloads move through a `CommLink` — `Arc` pointer copies
 //! on the shared-memory backend, framed bytes over Unix sockets on the
 //! multi-process backend (see [`crate::transport`]) — while all *costs*
 //! are charged through the α–β model of [`crate::cost::CostModel`] onto

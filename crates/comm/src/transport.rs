@@ -3,12 +3,12 @@
 //! [`Communicator`](crate::comm::Communicator) implements every
 //! collective — BSP entry-clock maximisation, α–β charging, CheckMode
 //! fingerprint verification, deterministic member-order reduction —
-//! **above** the [`CommLink`] trait defined here. A link only moves
+//! **above** the `CommLink` trait defined here. A link only moves
 //! opaque deposits: it accepts one `(entry clock, fingerprint, payload)`
 //! triple per member and hands back the full member-ordered set once the
 //! rendezvous is complete. Two implementations exist:
 //!
-//! * [`SharedLink`] — the original shared-memory simulator: deposits are
+//! * `SharedLink` — the original shared-memory simulator: deposits are
 //!   `Arc` pointer copies through a generation-keyed mailbox guarded by
 //!   a mutex + condvar. Deterministic, dependency-free, the CI fast
 //!   path and the default.

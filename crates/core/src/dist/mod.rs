@@ -28,12 +28,24 @@
 //!   implemented and verified.
 //!
 //! Every stage fetch runs through one `StageFetcher` pipeline
-//! (DESIGN.md §10). The three row layouts share the end of each backward
-//! layer, and the two grid layouts the partial-W SUMMA and the
-//! row-gathered output layer, all defined here. All five produce the
-//! same weights and embeddings as the serial reference up to
-//! floating-point accumulation order, for any process count that fits
-//! their geometry.
+//! (DESIGN.md §10). The stage kernels the layouts share live here, one
+//! copy each:
+//!
+//! * `RowPanels` — the block-row SpMM of Algorithm 1 (per-stage panels,
+//!   their needed-row sets and compacted copies, and the one stage loop):
+//!   the 1D forward, the 1D-row backward and the 1.5D forward.
+//! * `row_backward_step` / `grid_backward_step` — the end of each
+//!   backward layer (weight-gradient reduction, next `G`, weight step) of
+//!   the row layouts and of the grid layouts (2D, 3D).
+//! * The output gradient `G^L`: `row_output_gradient` for the row
+//!   layouts, `RowOutput::gradient` (after the row-gathered output layer)
+//!   for the grid layouts; `partial_summa_w` is the grid layouts'
+//!   product against the replicated `W`.
+//!
+//! The GraphSAGE trainers ([`crate::sage`]) call the same kernels. All
+//! five layouts produce the same weights and embeddings as the serial
+//! reference up to floating-point accumulation order, for any process
+//! count that fits their geometry.
 
 pub mod one5d;
 pub mod onedim;
@@ -46,11 +58,14 @@ pub mod twodim;
 pub use shell::DistTrainer;
 pub(crate) use shell::{Layout, TrainState};
 
+use crate::loss::{accuracy_counts, nll_sum, output_gradient};
+use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
 use cagnet_dense::activation::{log_softmax_rows, softmax_rows};
 use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
+use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -258,6 +273,15 @@ impl Default for StageFetcher {
 }
 
 impl StageFetcher {
+    /// A dense-mode fetcher with overlap off: every collective it defers
+    /// runs exactly where a blocking call would.
+    pub(crate) fn blocking() -> Self {
+        StageFetcher {
+            overlap: false,
+            ..StageFetcher::default()
+        }
+    }
+
     /// Select the comm tier; always drops the halo cache, so a mode
     /// change (or a re-set after mutating state) can never serve stale
     /// blocks.
@@ -530,15 +554,139 @@ pub(crate) fn output_block_shared(hs: &[Arc<Mat>]) -> Arc<Mat> {
     }
 }
 
-/// Column-compacted copies of a row-distributed layout's stage panels
-/// (columns renumbered to each stage's `needed` order) for multiplying
-/// compact gathered operands.
-fn compacted(blocks: &[Csr], needed: &[Vec<usize>]) -> Vec<Csr> {
-    blocks
-        .iter()
-        .zip(needed)
-        .map(|(a, nd)| a.compact_cols(nd))
-        .collect()
+/// The supervision every distributed trainer reads, replicated on every
+/// rank: the labels, the training mask, and the training-vertex count
+/// that normalizes the loss and the output gradient.
+pub(crate) struct Targets {
+    labels: Arc<Vec<usize>>,
+    mask: Arc<Vec<bool>>,
+    count: usize,
+}
+
+impl Targets {
+    pub(crate) fn new(problem: &Problem) -> Self {
+        Targets {
+            labels: Arc::new(problem.labels.clone()),
+            mask: Arc::new(problem.train_mask.clone()),
+            count: problem.train_count(),
+        }
+    }
+
+    /// Global mean masked NLL over the full-width output rows each rank
+    /// contributes (`rows`: the block and its first global row; `None`
+    /// if this rank contributes none).
+    pub(crate) fn loss(&self, ctx: &Ctx, rows: Option<(&Mat, usize)>) -> f64 {
+        let local = rows.map_or(0.0, |(h, r0)| nll_sum(h, &self.labels, &self.mask, r0));
+        ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.count as f64
+    }
+
+    /// Global training accuracy over the same contributed rows.
+    pub(crate) fn accuracy(&self, ctx: &Ctx, rows: Option<(&Mat, usize)>) -> f64 {
+        let (correct, total) = rows.map_or((0, 0), |(h, r0)| {
+            accuracy_counts(h, &self.labels, &self.mask, r0)
+        });
+        let c = ctx.world.allreduce_scalar(correct as f64, Cat::DenseComm);
+        let t = ctx.world.allreduce_scalar(total as f64, Cat::DenseComm);
+        if t == 0.0 {
+            0.0
+        } else {
+            c / t
+        }
+    }
+}
+
+/// The per-stage sparse panels of a block-row SpMM (Algorithm 1's
+/// pattern): panel `j` multiplies the dense block owned by member `j` of
+/// the stage communicator. Used by the 1D forward, the 1D-row backward,
+/// the 1.5D forward and both GraphSAGE-1D products.
+pub(crate) struct RowPanels {
+    full: Vec<Csr>,
+    /// Per stage `j`: the sorted distinct columns of panel `j` — the rows
+    /// of the stage's dense block this rank actually reads.
+    needed: Vec<Vec<usize>>,
+    /// Column-compacted copies of `full` (columns renumbered to
+    /// `needed[j]` order) for multiplying compact gathered operands.
+    /// Built lazily on the first switch to a sparse-exchange tier.
+    compact: Vec<Csr>,
+}
+
+impl RowPanels {
+    pub(crate) fn new(full: Vec<Csr>) -> Self {
+        let needed = full.iter().map(Csr::needed_cols).collect();
+        RowPanels {
+            full,
+            needed,
+            compact: Vec::new(),
+        }
+    }
+
+    /// Build the column-compacted panels, if not built yet.
+    pub(crate) fn build_compact(&mut self) {
+        if self.compact.is_empty() {
+            self.compact = self
+                .full
+                .iter()
+                .zip(&self.needed)
+                .map(|(a, nd)| a.compact_cols(nd))
+                .collect();
+        }
+    }
+
+    /// Stored words of the full and compacted panels.
+    pub(crate) fn words(&self) -> usize {
+        self.full.iter().chain(&self.compact).map(csr_words).sum()
+    }
+
+    /// `Σ_j panel_j · X_j` over one stage per panel, member `j` of `comm`
+    /// owning `X_j` (`x` is mine). Stage `j` fetches `X_j` — a broadcast,
+    /// or the rows this rank reads — and accumulates against the full or
+    /// the compact panel. The compact panel has the same nnz and rows
+    /// (columns are only renumbered), so the charged SpMM cost and the
+    /// accumulation order are identical in every comm tier. Root-side
+    /// dims are known to every rank from the balanced partition (panel
+    /// `j` has one column per root row), so receivers fingerprint them
+    /// and a wrong-shaped block is attributed to its root (CheckMode).
+    pub(crate) fn stage_spmm(
+        &self,
+        stages: &StageFetcher,
+        ctx: &Ctx,
+        comm: &Communicator,
+        x: &Arc<Mat>,
+    ) -> Mat {
+        let mut out = Mat::zeros(self.full[0].rows(), x.cols());
+        run_stages(
+            self.full.len(),
+            |j| {
+                stages.fetch(
+                    comm,
+                    j,
+                    (j == comm.my_idx()).then(|| x.clone()),
+                    &self.needed[j],
+                    (self.full[j].cols(), x.cols()),
+                )
+            },
+            |j, xj| {
+                let xj = xj.wait();
+                let a = if stages.sparse_exchange() {
+                    &self.compact[j]
+                } else {
+                    &self.full[j]
+                };
+                ctx.charge_spmm(a.nnz(), a.rows(), x.cols());
+                spmm_acc_with(ctx.parallel(), a, &xj, &mut out);
+            },
+        );
+        out
+    }
+}
+
+/// The output gradient `G^L = (softmax(Z^L) − onehot) / train_count` on
+/// the masked rows of a row layout, my first row being global vertex
+/// `r0`; charged as elementwise work.
+pub(crate) fn row_output_gradient(ctx: &Ctx, targets: &Targets, z: &Mat, r0: usize) -> Mat {
+    let g = output_gradient(z, &targets.labels, &targets.mask, r0, targets.count);
+    ctx.charge_elementwise(g.len());
+    g
 }
 
 /// The end of one backward layer in the row-distributed layouts (1D,
@@ -567,29 +715,31 @@ fn row_backward_step(s: &mut TrainState, ctx: &Ctx, l: usize, ag: &Mat) -> Optio
 
 /// All-gather `block` along a grid layout's process `row` and join the
 /// pieces side by side into full-width rows.
-fn hstack_row(row: &Communicator, block: Arc<Mat>) -> Mat {
+pub(crate) fn hstack_row(row: &Communicator, block: Arc<Mat>) -> Mat {
     let parts = row.allgather_shared(block, Cat::DenseComm);
     Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>())
 }
 
-/// Partial SUMMA against the replicated `W` on a grid layout's process
-/// `row`, where this rank is member `j` (§IV-C.1, §IV-D.1):
-/// `out += Σ_s T_s · W[in-block s, out-block j]`, member `s` owning
-/// `T_s`. These stages stay dense broadcasts in every [`CommMode`]: the
-/// stage GEMM reads *all* rows of the broadcast `T` block, so a row
-/// gather would request every row and only add the per-row index words.
-fn partial_summa_w(
+/// Partial SUMMA against a replicated weight matrix `w` on a grid
+/// layout's process `row` (§IV-C.1, §IV-D.1):
+/// `out += Σ_s T_s · w[in-block s, out-block j]`, member `s` owning `T_s`
+/// and this rank being member `j`. GraphSAGE calls it once per half of
+/// its stacked `W`, accumulating both into one `out`. These stages stay
+/// dense broadcasts in every [`CommMode`]: the stage GEMM reads *all*
+/// rows of the broadcast `T` block, so a row gather would request every
+/// row and only add the per-row index words.
+pub(crate) fn partial_summa_w(
     stages: &StageFetcher,
     ctx: &Ctx,
     row: &Communicator,
-    j: usize,
     t_mine: &Arc<Mat>,
     w: &Mat,
-) -> Mat {
-    let parts = row.size();
+    out: &mut Mat,
+) {
+    let (parts, j) = (row.size(), row.my_idx());
     let (f_in, f_out) = w.shape();
     let (oc0, oc1) = block_range(f_out, parts, j);
-    let mut out = Mat::zeros(t_mine.rows(), oc1 - oc0);
+    debug_assert_eq!(out.shape(), (t_mine.rows(), oc1 - oc0), "output block");
     // Arc payloads: my own T block is never deep-copied into the
     // collective.
     run_stages(
@@ -608,21 +758,20 @@ fn partial_summa_w(
             }
             ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
             let w_slice = w.block(ic0, ic1, oc0, oc1);
-            matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
+            matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, out);
         },
     );
-    out
 }
 
-/// The output layer of a grid layout (2D, 3D), whose dense blocks split
-/// the feature columns: `log_softmax` is not elementwise, so each
-/// process row all-gathers its `Z^L` blocks into full-width rows first
-/// (§IV-C.2, §IV-D.2).
-struct RowOutput {
+/// The output layer of a grid layout (2D, 3D, GraphSAGE-2D), whose dense
+/// blocks split the feature columns: `log_softmax` is not elementwise, so
+/// each process row all-gathers its `Z^L` blocks into full-width rows
+/// first (§IV-C.2, §IV-D.2). Also forms the grid layouts' `G^L`.
+pub(crate) struct RowOutput {
     /// Full-width output log-probabilities of my rows (valid after
     /// forward; identical across a process row), shared so
     /// `gather_embeddings` moves it without a copy.
-    h: Arc<Mat>,
+    pub(crate) h: Arc<Mat>,
     /// Full-width output softmax of my rows (for `G^L`).
     p: Mat,
 }
@@ -637,38 +786,52 @@ impl Default for RowOutput {
 }
 
 impl RowOutput {
-    /// Compute the full-width output rows from my `Z^L` block, as member
-    /// `j` of the process `row`, and return my column block of `H^L`.
-    fn forward(&mut self, ctx: &Ctx, row: &Communicator, j: usize, z: &Arc<Mat>) -> Mat {
+    /// Compute the full-width output rows from my `Z^L` block along the
+    /// process `row`, and return my column block of `H^L`.
+    pub(crate) fn forward(&mut self, ctx: &Ctx, row: &Communicator, z: &Arc<Mat>) -> Mat {
         let z_row = hstack_row(row, z.clone());
         ctx.charge_elementwise(2 * z_row.len());
         self.h = Arc::new(log_softmax_rows(&z_row));
         self.p = softmax_rows(&z_row);
-        let (oc0, oc1) = block_range(z_row.cols(), row.size(), j);
+        let (oc0, oc1) = block_range(z_row.cols(), row.size(), row.my_idx());
         self.h.block(0, z_row.rows(), oc0, oc1)
+    }
+
+    /// The rows this rank contributes to the loss and accuracy: one rank
+    /// per process `row` (its first member) contributes the full-width
+    /// block, my first row being global vertex `r0`.
+    pub(crate) fn rows(&self, row: &Communicator, r0: usize) -> Option<(&Mat, usize)> {
+        (row.my_idx() == 0).then(|| (&*self.h, r0))
     }
 
     /// My columns `cols` of the output gradient
     /// `G^L = (softmax − onehot) / train_count` on masked rows, my first
-    /// row being global vertex `r0`.
-    fn gradient(&self, s: &TrainState, r0: usize, cols: (usize, usize)) -> Mat {
+    /// row being global vertex `r0`; charged as elementwise work.
+    pub(crate) fn gradient(
+        &self,
+        ctx: &Ctx,
+        targets: &Targets,
+        r0: usize,
+        cols: (usize, usize),
+    ) -> Mat {
         let rows = self.p.rows();
-        let scale = 1.0 / s.train_count as f64;
+        let scale = 1.0 / targets.count as f64;
         let mut g = Mat::zeros(rows, cols.1 - cols.0);
         for r in 0..rows {
             let gv = r0 + r;
-            if !s.mask[gv] {
+            if !targets.mask[gv] {
                 continue;
             }
             let out = g.row_mut(r);
             for (cl, c) in (cols.0..cols.1).enumerate() {
                 let mut v = self.p[(r, c)] * scale;
-                if c == s.labels[gv] {
+                if c == targets.labels[gv] {
                     v -= scale;
                 }
                 out[cl] = v;
             }
         }
+        ctx.charge_elementwise(g.len());
         g
     }
 
@@ -681,9 +844,48 @@ impl RowOutput {
 /// All-gather the column blocks of a grid layout's reduced weight
 /// gradient `y_j` along the process `row` into the replicated
 /// `f_in x f_out` gradient.
-fn replicate_y(row: &Communicator, y_j: Mat) -> Mat {
+pub(crate) fn replicate_y(row: &Communicator, y_j: Mat) -> Mat {
     let y_parts = row.allgather(y_j, Cat::DenseComm);
     Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>())
+}
+
+/// The end of one backward layer in the grid layouts (2D, 3D), the
+/// counterpart of [`row_backward_step`], given my block `ag` of `A G^l`.
+/// The process `row` all-gathers `ag` into full-width rows, which serve
+/// both products (§IV-C.4, §IV-D.4): the weight gradient
+/// `Y = (H^{l-1})ᵀ (A G)` — a local slab product reduced over `reduce`
+/// (the ranks sharing my grid column: 2D's process column, 3D's j-group)
+/// and replicated along the row — and for `l > 0` my column block of the
+/// next gradient `G^{l-1} = (A G) (W^l)ᵀ ⊙ σ'(Z^{l-1})`, which it
+/// returns. With overlap on, the `Y` reduction is in flight while that
+/// gradient GEMM computes.
+fn grid_backward_step(
+    s: &mut TrainState,
+    ctx: &Ctx,
+    l: usize,
+    row: &Communicator,
+    reduce: &Communicator,
+    ag: Mat,
+) -> Option<Mat> {
+    let (f_in, f_out) = s.weights[l].shape();
+    let ag_row = hstack_row(row, Arc::new(ag));
+    ctx.charge_gemm(s.hs[l].cols(), ag_row.rows(), f_out);
+    let y_local = matmul_tn_with(ctx.parallel(), &s.hs[l], &ag_row);
+    let y_op = s
+        .stages
+        .defer(|| reduce.iallreduce_mat(&y_local, Cat::DenseComm));
+    let next = (l > 0).then(|| {
+        let (jc0, jc1) = block_range(f_in, row.size(), row.my_idx());
+        let w_slice = s.weights[l].block(jc0, jc1, 0, f_out);
+        ctx.charge_gemm(ag_row.rows(), f_out, jc1 - jc0);
+        let mut g = matmul_nt_with(ctx.parallel(), &ag_row, &w_slice);
+        s.activation_grad(ctx, l, &mut g);
+        g
+    });
+    let y = replicate_y(row, y_op.wait());
+    debug_assert_eq!(y.shape(), (f_in, f_out));
+    s.step(ctx, l, &y);
+    next
 }
 
 /// Per-rank storage footprint, in 8-byte words — the quantity behind the
@@ -720,18 +922,6 @@ pub(crate) fn csr_words(a: &Csr) -> usize {
 /// Total elements across a stack of dense matrices.
 pub(crate) fn mats_words<M: Borrow<Mat>>(ms: &[M]) -> usize {
     ms.iter().map(|m| m.borrow().len()).sum()
-}
-
-/// All-gather per-rank `(correct, total)` accuracy counts and return the
-/// global accuracy fraction. Shared by every distributed trainer.
-pub(crate) fn global_accuracy(ctx: &Ctx, correct: usize, total: usize) -> f64 {
-    let c = ctx.world.allreduce_scalar(correct as f64, Cat::DenseComm);
-    let t = ctx.world.allreduce_scalar(total as f64, Cat::DenseComm);
-    if t == 0.0 {
-        0.0
-    } else {
-        c / t
-    }
 }
 
 /// Assemble row blocks gathered in rank order into a full matrix.

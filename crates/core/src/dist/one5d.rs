@@ -31,15 +31,14 @@
 //! The forward replica-group `H` fetches follow the [`super::CommMode`]
 //! tier.
 
-use super::{DistTrainer, Layout, StorageReport, TrainState};
-use crate::loss::output_gradient;
+use super::{DistTrainer, Layout, RowPanels, StorageReport, TrainState};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_with, Mat};
 use cagnet_sparse::partition::block_ranges;
-use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
+use cagnet_sparse::spmm::outer_product_from_transposed;
 use cagnet_sparse::Csr;
 use std::sync::Arc;
 
@@ -50,27 +49,16 @@ pub type One5DTrainer = DistTrainer<One5DLayout>;
 pub struct One5DLayout {
     /// Replication factor `c`.
     c: usize,
-    /// Team count `p₁ = P / c`.
-    p1: usize,
-    /// My team index `i`.
-    ti: usize,
     /// Team communicator `(i, ·)` of size `c`.
     team: Communicator,
     /// Replica-group communicator `(·, r)` of size `p₁`.
     rep: Communicator,
     /// Global start of my fine row block.
     fine_r0: usize,
-    /// Forward stage operands: `Aᵀ(coarse rows i, fine cols i'·c + r)`
-    /// for `i' = 0..p₁`.
-    at_fwd: Vec<Csr>,
-    /// Per forward stage `i'`: the sorted distinct columns of
-    /// `at_fwd[i']` — the rows of the broadcast fine `H` block this rank
-    /// actually reads (sparsity-aware mode).
-    needed: Vec<Vec<usize>>,
-    /// Column-compacted copies of `at_fwd` (columns renumbered to
-    /// `needed[i']` order) for multiplying compact gathered operands.
-    /// Built lazily on the first switch to sparsity-aware mode.
-    at_compact: Vec<Csr>,
+    /// Forward stage panels: `Aᵀ(coarse rows i, fine cols i'·c + r)`
+    /// for `i' = 0..p₁`, stage `i'` multiplying member `i'` of `rep`'s
+    /// fine `H` block.
+    at_fwd: RowPanels,
     /// Backward operand: `Aᵀ(coarse rows i, ·)` restricted to the columns
     /// of all fine blocks `≡ r (mod c)`, concatenated in team order.
     at_bwd: Csr,
@@ -120,13 +108,14 @@ impl One5DTrainer {
         let coarse = |i: usize| (fine[i * c].0, fine[(i + 1) * c - 1].1);
         let (cr0, cr1) = coarse(ti);
         let at_coarse = problem.adj_t.block(cr0, cr1, 0, n);
-        let at_fwd: Vec<Csr> = (0..p1)
-            .map(|ip| {
-                let (b0, b1) = fine[ip * c + tr];
-                at_coarse.block(0, cr1 - cr0, b0, b1)
-            })
-            .collect();
-        let needed = at_fwd.iter().map(Csr::needed_cols).collect();
+        let at_fwd = RowPanels::new(
+            (0..p1)
+                .map(|ip| {
+                    let (b0, b1) = fine[ip * c + tr];
+                    at_coarse.block(0, cr1 - cr0, b0, b1)
+                })
+                .collect(),
+        );
         // Backward: same column slices, concatenated in team order i'.
         let at_bwd = {
             let mut coo = cagnet_sparse::Coo::new(
@@ -156,14 +145,10 @@ impl One5DTrainer {
         let h0 = problem.features.block(fr0, fr1, 0, problem.features.cols());
         let layout = One5DLayout {
             c,
-            p1,
-            ti,
             team,
             rep,
             fine_r0: fr0,
             at_fwd,
-            needed,
-            at_compact: Vec::new(),
             at_bwd,
         };
         Ok(DistTrainer::new(problem, cfg, h0, layout))
@@ -188,36 +173,7 @@ impl Layout for One5DLayout {
     fn layer(&self, s: &TrainState, ctx: &Ctx, l: usize) -> Mat {
         let f_in = s.cfg.dims[l];
         let f_out = s.cfg.dims[l + 1];
-        let h = &s.hs[l];
-        let coarse_rows = self.at_fwd[0].rows();
-        let mut partial = Mat::zeros(coarse_rows, f_in);
-        // Root-side dims of stage i' are known to every replica-group
-        // member from the balanced partition (`at_fwd[i']` has one
-        // column per root row), fingerprinted under CheckMode.
-        super::run_stages(
-            self.p1,
-            |ip| {
-                s.stages.fetch(
-                    &self.rep,
-                    ip,
-                    (ip == self.ti).then(|| h.clone()),
-                    &self.needed[ip],
-                    (self.at_fwd[ip].cols(), h.cols()),
-                )
-            },
-            |ip, h_b| {
-                let h_b = h_b.wait();
-                // Same nnz/rows either way (compact only renumbers
-                // columns): identical charged cost and accumulation order.
-                let a = if s.stages.sparse_exchange() {
-                    &self.at_compact[ip]
-                } else {
-                    &self.at_fwd[ip]
-                };
-                ctx.charge_spmm(a.nnz(), coarse_rows, f_in);
-                spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
-            },
-        );
+        let partial = self.at_fwd.stage_spmm(&s.stages, ctx, &self.rep, &s.hs[l]);
         let t = self.team.reduce_scatter_rows(&partial, Cat::DenseComm);
         ctx.charge_gemm(t.rows(), f_in, f_out);
         matmul_with(ctx.parallel(), &t, &s.weights[l])
@@ -226,14 +182,12 @@ impl Layout for One5DLayout {
     fn backward(&mut self, s: &mut TrainState, ctx: &Ctx) {
         let l_total = s.cfg.layers();
         // Shared so my block enters the team all-gather without a copy.
-        let mut g = Arc::new(output_gradient(
+        let mut g = Arc::new(super::row_output_gradient(
+            ctx,
+            &s.targets,
             &s.zs[l_total - 1],
-            &s.labels,
-            &s.mask,
             self.fine_r0,
-            s.train_count,
         ));
-        ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
             let f_out = s.cfg.dims[l + 1];
             // Team all-gather: assemble the coarse G block (every replica
@@ -255,19 +209,15 @@ impl Layout for One5DLayout {
     }
 
     fn compact_panels(&mut self) {
-        if self.at_compact.is_empty() {
-            self.at_compact = super::compacted(&self.at_fwd, &self.needed);
-        }
+        self.at_fwd.build_compact();
     }
 
     /// The adjacency term carries the `c`-fold replication of §IV-B.
     fn storage_words(&self, s: &TrainState) -> StorageReport {
         let f_max = s.cfg.f_max();
-        let coarse_rows = self.at_fwd[0].rows();
+        let coarse_rows = self.at_bwd.rows();
         StorageReport {
-            adjacency: self.at_fwd.iter().map(super::csr_words).sum::<usize>()
-                + self.at_compact.iter().map(super::csr_words).sum::<usize>()
-                + super::csr_words(&self.at_bwd),
+            adjacency: self.at_fwd.words() + super::csr_words(&self.at_bwd),
             dense_state: super::mats_words(&s.hs) + super::mats_words(&s.zs),
             // Forward coarse partial + backward sliced outer product and
             // team-gathered G.

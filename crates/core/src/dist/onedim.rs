@@ -16,14 +16,13 @@
 //!
 //! The forward `H_j` stage fetches follow the [`super::CommMode`] tier.
 
-use super::{DistTrainer, Layout, StorageReport, TrainState};
-use crate::loss::output_gradient;
+use super::{DistTrainer, Layout, RowPanels, StorageReport, TrainState};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
+use cagnet_sparse::spmm::outer_product_from_transposed;
 use cagnet_sparse::Csr;
 
 /// The 1D trainer: the shared shell over the [`OneDimLayout`].
@@ -35,15 +34,8 @@ pub struct OneDimLayout {
     /// My global row range `[r0, r1)`.
     r0: usize,
     /// Block row `i` of `Aᵀ` split into `P` column blocks
-    /// (`Aᵀ_{ij}`, each `n_i x n_j`).
-    at_blocks: Vec<Csr>,
-    /// Per stage `j`: the sorted distinct columns of `Aᵀ_{ij}` — the rows
-    /// of `H_j` this rank actually reads (sparsity-aware mode).
-    needed: Vec<Vec<usize>>,
-    /// Column-compacted copies of `at_blocks` (columns renumbered to
-    /// `needed[j]` order) for multiplying compact gathered operands.
-    /// Built lazily on the first switch to sparsity-aware mode.
-    at_compact: Vec<Csr>,
+    /// (`Aᵀ_{ij}`, each `n_i x n_j`): the forward stage panels.
+    at_blocks: RowPanels,
     /// The full block row `Aᵀ_i` (`n_i x n`) — the CSR-of-transpose of
     /// `A`'s column block `i`, used directly by the backward outer
     /// product.
@@ -78,18 +70,17 @@ impl OneDimTrainer {
         }
         let (r0, r1) = block_range(n, p, ctx.rank);
         let at_row = problem.adj_t.block(r0, r1, 0, n);
-        let at_blocks: Vec<Csr> = block_ranges(n, p)
-            .into_iter()
-            .map(|(c0, c1)| at_row.block(0, r1 - r0, c0, c1))
-            .collect();
-        let needed = at_blocks.iter().map(Csr::needed_cols).collect();
+        let at_blocks = RowPanels::new(
+            block_ranges(n, p)
+                .into_iter()
+                .map(|(c0, c1)| at_row.block(0, r1 - r0, c0, c1))
+                .collect(),
+        );
         let h0 = problem.features.block(r0, r1, 0, problem.features.cols());
         let layout = OneDimLayout {
             n,
             r0,
             at_blocks,
-            needed,
-            at_compact: Vec::new(),
             at_row,
         };
         Ok(DistTrainer::new(problem, cfg, h0, layout))
@@ -106,41 +97,10 @@ impl Layout for OneDimLayout {
     fn layer(&self, s: &TrainState, ctx: &Ctx, l: usize) -> Mat {
         let f_in = s.cfg.dims[l];
         let f_out = s.cfg.dims[l + 1];
-        let h = &s.hs[l];
-        let mut t = Mat::zeros(self.at_row.rows(), f_in);
-        // Stage j fetches H_j (a broadcast, or the rows this rank
-        // reads), then accumulates T_i += Aᵀ_ij H_j. The owner's
-        // resident block rides in as an Arc clone, never a deep copy.
-        // Root-side dims are known to every rank from the balanced
-        // partition (`at_blocks[j]` has one column per root row), so
-        // receivers fingerprint them and a wrong-shaped panel is
-        // attributed to the root (CheckMode).
-        super::run_stages(
-            ctx.size,
-            |j| {
-                s.stages.fetch(
-                    &ctx.world,
-                    j,
-                    (j == ctx.rank).then(|| h.clone()),
-                    &self.needed[j],
-                    (self.at_blocks[j].cols(), h.cols()),
-                )
-            },
-            |j, hj| {
-                let hj = hj.wait();
-                // The compact panel has the same nnz/rows as the full
-                // block (columns are only renumbered), so the charged
-                // SpMM cost — and the accumulation order — is
-                // identical in both modes.
-                let a = if s.stages.sparse_exchange() {
-                    &self.at_compact[j]
-                } else {
-                    &self.at_blocks[j]
-                };
-                ctx.charge_spmm(a.nnz(), a.rows(), f_in);
-                spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
-            },
-        );
+        // Stage j fetches H_j and accumulates T_i += Aᵀ_ij H_j.
+        let t = self
+            .at_blocks
+            .stage_spmm(&s.stages, ctx, &ctx.world, &s.hs[l]);
         let z = matmul_with(ctx.parallel(), &t, &s.weights[l]);
         ctx.charge_gemm(t.rows(), f_in, f_out);
         z
@@ -148,14 +108,7 @@ impl Layout for OneDimLayout {
 
     fn backward(&mut self, s: &mut TrainState, ctx: &Ctx) {
         let l_total = s.cfg.layers();
-        let mut g = output_gradient(
-            &s.zs[l_total - 1],
-            &s.labels,
-            &s.mask,
-            self.r0,
-            s.train_count,
-        );
-        ctx.charge_elementwise(g.len());
+        let mut g = super::row_output_gradient(ctx, &s.targets, &s.zs[l_total - 1], self.r0);
         for l in (0..l_total).rev() {
             let f_out = s.cfg.dims[l + 1];
             // Large 1D outer product: A(:, my block) · G_i, a full-height
@@ -172,16 +125,12 @@ impl Layout for OneDimLayout {
     }
 
     fn compact_panels(&mut self) {
-        if self.at_compact.is_empty() {
-            self.at_compact = super::compacted(&self.at_blocks, &self.needed);
-        }
+        self.at_blocks.build_compact();
     }
 
     fn storage_words(&self, s: &TrainState) -> StorageReport {
         StorageReport {
-            adjacency: super::csr_words(&self.at_row)
-                + self.at_blocks.iter().map(super::csr_words).sum::<usize>()
-                + self.at_compact.iter().map(super::csr_words).sum::<usize>(),
+            adjacency: super::csr_words(&self.at_row) + self.at_blocks.words(),
             dense_state: super::mats_words(&s.hs) + super::mats_words(&s.zs),
             // The §IV-A.3 full-height low-rank product: n x f, regardless
             // of P — 1D's memory-scalability problem.

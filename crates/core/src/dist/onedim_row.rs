@@ -13,14 +13,13 @@
 //!
 //! The backward `G_j` stage fetches follow the [`super::CommMode`] tier.
 
-use super::{DistTrainer, Layout, StorageReport, TrainState};
-use crate::loss::output_gradient;
+use super::{DistTrainer, Layout, RowPanels, StorageReport, TrainState};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
+use cagnet_sparse::spmm::outer_product_from_transposed;
 use cagnet_sparse::Csr;
 use std::sync::Arc;
 
@@ -37,14 +36,7 @@ pub struct OneDimRowLayout {
     a_row: Csr,
     /// `A_i` split into `P` column blocks for the backward block-row
     /// multiply.
-    a_blocks: Vec<Csr>,
-    /// Per stage `j`: the sorted distinct columns of `A_{ij}` — the rows
-    /// of `G_j` this rank actually reads (sparsity-aware mode).
-    needed: Vec<Vec<usize>>,
-    /// Column-compacted copies of `a_blocks` (columns renumbered to
-    /// `needed[j]` order) for multiplying compact gathered operands.
-    /// Built lazily on the first switch to sparsity-aware mode.
-    a_compact: Vec<Csr>,
+    a_blocks: RowPanels,
 }
 
 impl OneDimRowTrainer {
@@ -70,18 +62,17 @@ impl OneDimRowTrainer {
         }
         let (r0, r1) = block_range(n, p, ctx.rank);
         let a_row = problem.adj.block(r0, r1, 0, n);
-        let a_blocks: Vec<Csr> = block_ranges(n, p)
-            .into_iter()
-            .map(|(c0, c1)| a_row.block(0, r1 - r0, c0, c1))
-            .collect();
-        let needed = a_blocks.iter().map(Csr::needed_cols).collect();
+        let a_blocks = RowPanels::new(
+            block_ranges(n, p)
+                .into_iter()
+                .map(|(c0, c1)| a_row.block(0, r1 - r0, c0, c1))
+                .collect(),
+        );
         let h0 = problem.features.block(r0, r1, 0, problem.features.cols());
         let layout = OneDimRowLayout {
             r0,
             a_row,
             a_blocks,
-            needed,
-            a_compact: Vec::new(),
         };
         Ok(DistTrainer::new(problem, cfg, h0, layout))
     }
@@ -108,48 +99,16 @@ impl Layout for OneDimRowLayout {
     fn backward(&mut self, s: &mut TrainState, ctx: &Ctx) {
         let l_total = s.cfg.layers();
         // Shared so my block enters the broadcast stages without a copy.
-        let mut g = Arc::new(output_gradient(
+        let mut g = Arc::new(super::row_output_gradient(
+            ctx,
+            &s.targets,
             &s.zs[l_total - 1],
-            &s.labels,
-            &s.mask,
             self.r0,
-            s.train_count,
         ));
-        ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
-            let f_out = s.cfg.dims[l + 1];
-            // Block-row multiply: AG_i = Σ_j A_ij G_j via P broadcasts.
-            // Issue-ahead pipeline: stage j+1's gradient block is in
-            // flight while stage j's SpMM computes (mirror of the column
-            // variant's forward loop). Root-side dims are known to every
-            // rank from the balanced partition (`a_blocks[j]` has one
-            // column per root row), fingerprinted under CheckMode.
-            let mut ag = Mat::zeros(self.a_row.rows(), f_out);
-            super::run_stages(
-                ctx.size,
-                |j| {
-                    s.stages.fetch(
-                        &ctx.world,
-                        j,
-                        (j == ctx.rank).then(|| g.clone()),
-                        &self.needed[j],
-                        (self.a_blocks[j].cols(), g.cols()),
-                    )
-                },
-                |j, gj| {
-                    let gj = gj.wait();
-                    // Same nnz/rows either way (compact only renumbers
-                    // columns): identical charged cost and accumulation
-                    // order.
-                    let a = if s.stages.sparse_exchange() {
-                        &self.a_compact[j]
-                    } else {
-                        &self.a_blocks[j]
-                    };
-                    ctx.charge_spmm(a.nnz(), a.rows(), f_out);
-                    spmm_acc_with(ctx.parallel(), a, &gj, &mut ag);
-                },
-            );
+            // Block-row multiply: AG_i = Σ_j A_ij G_j via P stages (mirror
+            // of the column variant's forward).
+            let ag = self.a_blocks.stage_spmm(&s.stages, ctx, &ctx.world, &g);
             // Small outer product for Y (unchanged from the column
             // variant).
             if let Some(next) = super::row_backward_step(s, ctx, l, &ag) {
@@ -159,16 +118,12 @@ impl Layout for OneDimRowLayout {
     }
 
     fn compact_panels(&mut self) {
-        if self.a_compact.is_empty() {
-            self.a_compact = super::compacted(&self.a_blocks, &self.needed);
-        }
+        self.a_blocks.build_compact();
     }
 
     fn storage_words(&self, s: &TrainState) -> StorageReport {
         StorageReport {
-            adjacency: super::csr_words(&self.a_row)
-                + self.a_blocks.iter().map(super::csr_words).sum::<usize>()
-                + self.a_compact.iter().map(super::csr_words).sum::<usize>(),
+            adjacency: super::csr_words(&self.a_row) + self.a_blocks.words(),
             dense_state: super::mats_words(&s.hs) + super::mats_words(&s.zs),
             // The forward outer product materializes the full n x f
             // contribution here (mirror of the column variant's backward).

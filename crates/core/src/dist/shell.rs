@@ -12,8 +12,7 @@
 //! contributes to the loss, its storage footprint and the embedding
 //! gather.
 
-use super::{CommMode, StageFetcher, StorageReport};
-use crate::loss::{accuracy_counts, nll_sum};
+use super::{CommMode, StageFetcher, StorageReport, Targets};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
@@ -76,12 +75,11 @@ pub trait Layout {
 /// The layout-independent state of a distributed trainer.
 pub struct TrainState {
     pub(super) cfg: GcnConfig,
-    pub(super) train_count: usize,
+    /// Labels, training mask and count for the loss and `G^L`.
+    pub(super) targets: Targets,
     /// Comm tier, overlap, training state and halo cache of the stage
     /// fetches (DESIGN.md §9, §10, §13).
     pub(super) stages: StageFetcher,
-    pub(super) labels: Arc<Vec<usize>>,
-    pub(super) mask: Arc<Vec<bool>>,
     /// Replicated weights.
     pub(super) weights: Vec<Mat>,
     pub(super) opt: Optimizer,
@@ -161,10 +159,8 @@ impl<L> DistTrainer<L> {
         DistTrainer {
             state: TrainState {
                 cfg: cfg.clone(),
-                train_count: problem.train_count(),
+                targets: Targets::new(problem),
                 stages: StageFetcher::default(),
-                labels: Arc::new(problem.labels.clone()),
-                mask: Arc::new(problem.train_mask.clone()),
                 opt: Optimizer::for_weights(OptimizerKind::Sgd, cfg.lr, &weights),
                 weights,
                 act: Activation::Relu,
@@ -201,11 +197,7 @@ impl<L: Layout + ?Sized> DistTrainer<L> {
             s.zs.push(z);
             s.hs.push(Arc::new(h));
         }
-        let local = self
-            .layout
-            .output_rows(s)
-            .map_or(0.0, |(h, r0)| nll_sum(h, &s.labels, &s.mask, r0));
-        ctx.world.allreduce_scalar(local, Cat::DenseComm) / s.train_count as f64
+        s.targets.loss(ctx, self.layout.output_rows(s))
     }
 
     /// Backward pass + replicated weight update.
@@ -233,11 +225,7 @@ impl<L: Layout + ?Sized> DistTrainer<L> {
     pub fn accuracy(&mut self, ctx: &Ctx) -> f64 {
         let _ = self.forward(ctx);
         let s = &self.state;
-        let (c, t) = self
-            .layout
-            .output_rows(s)
-            .map_or((0, 0), |(h, r0)| accuracy_counts(h, &s.labels, &s.mask, r0));
-        super::global_accuracy(ctx, c, t)
+        s.targets.accuracy(ctx, self.layout.output_rows(s))
     }
 
     /// Set the hidden-layer dropout rate (inverted dropout; a fresh

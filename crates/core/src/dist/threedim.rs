@@ -30,7 +30,7 @@ use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::grid::int_cbrt;
 use cagnet_comm::{Cat, Ctx, Grid3D};
-use cagnet_dense::{matmul_nt_with, matmul_tn_with, Mat};
+use cagnet_dense::Mat;
 use cagnet_sparse::partition::block_range;
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
@@ -241,54 +241,34 @@ impl Layout for ThreeDimLayout {
     fn layer(&self, s: &TrainState, ctx: &Ctx, l: usize) -> Mat {
         let at = self.bcast_block(s, &self.at_ijk, &self.at_compact);
         let t = Arc::new(self.split3d_spmm(s, ctx, at, &s.hs[l], &self.needed_fwd));
-        let g = &self.grid;
-        super::partial_summa_w(&s.stages, ctx, &g.row, g.j, &t, &s.weights[l])
+        let (c0, c1) = self.col_block(s.cfg.dims[l + 1]);
+        let mut z = Mat::zeros(t.rows(), c1 - c0);
+        super::partial_summa_w(&s.stages, ctx, &self.grid.row, &t, &s.weights[l], &mut z);
+        z
     }
 
     /// Within-layer row all-gather; no cross-layer communication
     /// (§IV-D.2).
     fn output_layer(&mut self, ctx: &Ctx, z: &Arc<Mat>) -> Mat {
-        self.out.forward(ctx, &self.grid.row, self.grid.j, z)
+        self.out.forward(ctx, &self.grid.row, z)
     }
 
-    /// One rank per process row contributes its full-width row block.
     fn output_rows<'a>(&'a self, _: &'a TrainState) -> Option<(&'a Mat, usize)> {
-        (self.grid.j == 0).then(|| (&*self.out.h, self.r0))
+        self.out.rows(&self.grid.row, self.r0)
     }
 
     fn backward(&mut self, s: &mut TrainState, ctx: &Ctx) {
-        let l_total = s.cfg.layers();
-        let mut g = Arc::new(self.out.gradient(s, self.r0, self.col_block(s.cfg.f_out())));
-        ctx.charge_elementwise(g.len());
-        for l in (0..l_total).rev() {
-            let f_in = s.cfg.dims[l];
-            let f_out = s.cfg.dims[l + 1];
-            // A G via full Split-3D-SpMM; saved and reused (§IV-D.4).
+        let cols = self.col_block(s.cfg.f_out());
+        let mut g = Arc::new(self.out.gradient(ctx, &s.targets, self.r0, cols));
+        for l in (0..s.cfg.layers()).rev() {
+            // A G via full Split-3D-SpMM; saved and reused (§IV-D.4). The
+            // Y reduction runs over all ranks sharing grid column j.
             let a = self.bcast_block(s, &self.a_ijk, &self.a_compact);
             let ag = self.split3d_spmm(s, ctx, a, &g, &self.needed_bwd);
-            let ag_row = super::hstack_row(&self.grid.row, Arc::new(ag));
-            debug_assert_eq!(ag_row.shape(), (self.rows, f_out));
-            // Y = (H^{l-1})ᵀ A G: local slab product, reduction over all
-            // ranks sharing grid column j, then row replication.
-            ctx.charge_gemm(s.hs[l].cols(), self.rows, f_out);
-            let y_local = matmul_tn_with(ctx.parallel(), &s.hs[l], &ag_row);
-            // With overlap on, the j-group Y reduction is in flight while
-            // the G^{l-1} GEMM computes (both read only ag_row and
-            // replicated state).
-            let y_op = s
-                .stages
-                .defer(|| self.jgroup.iallreduce_mat(&y_local, Cat::DenseComm));
-            if l > 0 {
-                let (jc0, jc1) = self.col_block(f_in);
-                let w_slice = s.weights[l].block(jc0, jc1, 0, f_out);
-                ctx.charge_gemm(self.rows, f_out, jc1 - jc0);
-                let mut next_g = matmul_nt_with(ctx.parallel(), &ag_row, &w_slice);
-                s.activation_grad(ctx, l, &mut next_g);
-                g = Arc::new(next_g);
+            let row = &self.grid.row;
+            if let Some(next) = super::grid_backward_step(s, ctx, l, row, &self.jgroup, ag) {
+                g = Arc::new(next);
             }
-            let y = super::replicate_y(&self.grid.row, y_op.wait());
-            debug_assert_eq!(y.shape(), (f_in, f_out));
-            s.step(ctx, l, &y);
         }
     }
 

@@ -41,7 +41,7 @@ use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::grid::int_sqrt;
 use cagnet_comm::{Cat, Ctx, Grid2D};
-use cagnet_dense::{matmul_nt_with, matmul_tn_with, Mat};
+use cagnet_dense::Mat;
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
@@ -165,6 +165,12 @@ impl TwoDimTrainer {
         pr: usize,
         pc: usize,
     ) -> Result<Self, super::SetupError> {
+        if pr < 1 || pc < 1 || pr * pc != ctx.size {
+            return Err(super::SetupError::Geometry(format!(
+                "grid {pr}x{pc} != world {}",
+                ctx.size
+            )));
+        }
         if tcfg.stages_per_block < 1 {
             return Err(super::SetupError::Config(
                 "stages_per_block must be >= 1".into(),
@@ -308,61 +314,38 @@ impl Layout for TwoDimLayout {
     /// SUMMA; `W` replicated).
     fn layer(&self, s: &TrainState, ctx: &Ctx, l: usize) -> Mat {
         let t = Arc::new(self.summa_spmm(s, ctx, &self.at_ij, &s.hs[l], &self.needed_fwd));
-        let g = &self.grid;
-        super::partial_summa_w(&s.stages, ctx, &g.row, g.j, &t, &s.weights[l])
+        let (c0, c1) = self.col_block(s.cfg.dims[l + 1]);
+        let mut z = Mat::zeros(t.rows(), c1 - c0);
+        super::partial_summa_w(&s.stages, ctx, &self.grid.row, &t, &s.weights[l], &mut z);
+        z
     }
 
     fn output_layer(&mut self, ctx: &Ctx, z: &Arc<Mat>) -> Mat {
-        self.out.forward(ctx, &self.grid.row, self.grid.j, z)
+        self.out.forward(ctx, &self.grid.row, z)
     }
 
-    /// One rank per process row contributes its full-width row block.
     fn output_rows<'a>(&'a self, _: &'a TrainState) -> Option<(&'a Mat, usize)> {
-        (self.grid.j == 0).then(|| (&*self.out.h, self.r0))
+        self.out.rows(&self.grid.row, self.r0)
     }
 
     fn backward(&mut self, s: &mut TrainState, ctx: &Ctx) {
-        let l_total = s.cfg.layers();
         if self.tcfg.charge_transpose {
             // The paper's implementation pays local transposes twice per
             // epoch (cf. §IV-A.7 "only twice per epoch"); Figure 3 reports
-            // them as "trpose".
+            // them as "trpose". Charged ahead of G^L's elementwise
+            // charge: the order of the two moves the f64 clock.
             ctx.charge_transpose(2 * self.a_ij.nnz());
         }
-        let mut g = self.out.gradient(s, self.r0, self.col_block(s.cfg.f_out()));
-        ctx.charge_elementwise(g.len());
-        for l in (0..l_total).rev() {
-            let f_in = s.cfg.dims[l];
-            let f_out = s.cfg.dims[l + 1];
-            // SUMMA SpMM: AG = A G (saved and reused, §IV-C.4).
+        let cols = self.col_block(s.cfg.f_out());
+        let mut g = self.out.gradient(ctx, &s.targets, self.r0, cols);
+        for l in (0..s.cfg.layers()).rev() {
+            // SUMMA SpMM: AG = A G (saved and reused, §IV-C.4); the Y
+            // reduction runs over my process column.
             let ag = self.summa_spmm(s, ctx, &self.a_ij, &g, &self.needed_bwd);
-            // Row all-gather of AG: serves both Y and A G Wᵀ. The local
-            // block moves into the collective, not a copy of it.
-            let ag_row = super::hstack_row(&self.grid.row, Arc::new(ag));
-            debug_assert_eq!(ag_row.shape(), (self.my_rows(), f_out));
-            // Y = (H^{l-1})ᵀ (A G): local slab product, column-group
-            // reduction, row replication (2D dense SUMMA + all-gather in
-            // the paper's terms).
-            ctx.charge_gemm(s.hs[l].cols(), self.my_rows(), f_out);
-            let y_local = matmul_tn_with(ctx.parallel(), &s.hs[l], &ag_row);
-            // With overlap on, the column-group Y reduction is in flight
-            // while the G^{l-1} GEMM computes (both read only ag_row and
-            // replicated state).
-            let y_op = s
-                .stages
-                .defer(|| self.grid.col.iallreduce_mat(&y_local, Cat::DenseComm));
-            if l > 0 {
-                // G^{l-1} = A G (W^l)ᵀ ⊙ σ'(Z^{l-1}): local against
-                // replicated W using the already-gathered AG row slab.
-                let (jc0, jc1) = self.col_block(f_in);
-                let w_slice = s.weights[l].block(jc0, jc1, 0, f_out);
-                ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
-                g = matmul_nt_with(ctx.parallel(), &ag_row, &w_slice);
-                s.activation_grad(ctx, l, &mut g);
+            let grid = &self.grid;
+            if let Some(next) = super::grid_backward_step(s, ctx, l, &grid.row, &grid.col, ag) {
+                g = next;
             }
-            let y = super::replicate_y(&self.grid.row, y_op.wait());
-            debug_assert_eq!(y.shape(), (f_in, f_out));
-            s.step(ctx, l, &y);
         }
     }
 

@@ -25,16 +25,31 @@
 //! ∂L/∂H^{l-1} = G^l (W_top^l)ᵀ + Āᵀ G^l (W_bot^l)ᵀ
 //! G^{l-1} = ∂L/∂H^{l-1} ⊙ σ'(Z^{l-1})
 //! ```
+//!
+//! The distributed trainers call the GCN layouts' stage kernels in
+//! [`crate::dist`]: the 1D trainer's two block-row SpMMs are `RowPanels`
+//! stage loops and its `G^L` is the row layouts' `row_output_gradient`;
+//! the 2D trainer runs `partial_summa_w` once per half of `W`, forms its
+//! output rows and `G^L` with `RowOutput`, and gathers slabs with
+//! `hstack_row` / `replicate_y`. Both use a dense, overlap-off
+//! `StageFetcher`, so every collective sits where a blocking call would
+//! and no communication is overlapped.
 
+use crate::dist::{
+    hstack_row, output_block, partial_summa_w, replicate_y, row_output_gradient, RowOutput,
+    RowPanels, StageFetcher, Targets,
+};
 use crate::loss::{accuracy_counts, nll_sum, output_gradient};
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::{log_softmax_rows, relu, relu_prime};
 use cagnet_dense::init::glorot_uniform;
 use cagnet_dense::ops::{add_assign, axpy_neg, hadamard_assign};
-use cagnet_dense::{matmul, matmul_nt, matmul_tn, Mat};
+use cagnet_dense::{
+    matmul, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_with, matmul_with, Mat,
+};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::{spmm, spmm_acc};
+use cagnet_sparse::spmm::{spmm, spmm_acc_with};
 use cagnet_sparse::{Coo, Csr};
 use std::sync::Arc;
 
@@ -150,7 +165,7 @@ impl<'p> SageSerialTrainer<'p> {
             self.hs.push(out);
         }
         nll_sum(
-            crate::dist::output_block(&self.hs),
+            output_block(&self.hs),
             &self.problem.labels,
             &self.problem.train_mask,
             0,
@@ -202,7 +217,7 @@ impl<'p> SageSerialTrainer<'p> {
     pub fn accuracy(&mut self) -> f64 {
         let _ = self.forward();
         let (c, t) = accuracy_counts(
-            crate::dist::output_block(&self.hs),
+            output_block(&self.hs),
             &self.problem.labels,
             &self.problem.train_mask,
             0,
@@ -235,17 +250,18 @@ fn split_weights(w: &Mat, f_in: usize) -> (Mat, Mat) {
 /// `Āᵀ G` backward product are the familiar `P`-stage broadcast SpMMs.
 pub struct SageOneDimTrainer {
     cfg: SageConfig,
-    train_count: usize,
+    targets: Targets,
     r0: usize,
+    /// Dense broadcasts with overlap off: every collective runs where a
+    /// blocking call would.
+    stages: StageFetcher,
     /// `Ā` block row split by column blocks.
-    abar_blocks: Vec<Csr>,
+    abar_blocks: RowPanels,
     /// `Āᵀ` block row split by column blocks (for the backward product).
-    abar_t_blocks: Vec<Csr>,
-    labels: Arc<Vec<usize>>,
-    mask: Arc<Vec<bool>>,
+    abar_t_blocks: RowPanels,
     weights: Vec<Mat>,
     zs: Vec<Mat>,
-    hs: Vec<Mat>,
+    hs: Vec<Arc<Mat>>,
     ms: Vec<Mat>,
 }
 
@@ -258,43 +274,28 @@ impl SageOneDimTrainer {
         let abar = mean_aggregator(&problem.adj);
         let abar_t = abar.transpose();
         let (r0, r1) = block_range(n, p, ctx.rank);
-        let row = abar.block(r0, r1, 0, n);
-        let row_t = abar_t.block(r0, r1, 0, n);
-        let abar_blocks = block_ranges(n, p)
-            .into_iter()
-            .map(|(c0, c1)| row.block(0, r1 - r0, c0, c1))
-            .collect();
-        let abar_t_blocks = block_ranges(n, p)
-            .into_iter()
-            .map(|(c0, c1)| row_t.block(0, r1 - r0, c0, c1))
-            .collect();
+        let panels = |a: &Csr| {
+            let row = a.block(r0, r1, 0, n);
+            RowPanels::new(
+                block_ranges(n, p)
+                    .into_iter()
+                    .map(|(c0, c1)| row.block(0, r1 - r0, c0, c1))
+                    .collect(),
+            )
+        };
         let h0 = problem.features.block(r0, r1, 0, problem.features.cols());
         SageOneDimTrainer {
             cfg: cfg.clone(),
-            train_count: problem.train_count(),
+            targets: Targets::new(problem),
             r0,
-            abar_blocks,
-            abar_t_blocks,
-            labels: Arc::new(problem.labels.clone()),
-            mask: Arc::new(problem.train_mask.clone()),
+            stages: StageFetcher::blocking(),
+            abar_blocks: panels(&abar),
+            abar_t_blocks: panels(&abar_t),
             weights: cfg.init_weights(),
             zs: Vec::new(),
-            hs: vec![h0],
+            hs: vec![Arc::new(h0)],
             ms: Vec::new(),
         }
-    }
-
-    /// Block-row SpMM with `P` broadcast stages (Algorithm 1's pattern).
-    fn block_row_spmm(&self, ctx: &Ctx, blocks: &[Csr], mine: &Mat) -> Mat {
-        debug_assert_eq!(blocks.len(), ctx.size);
-        let mut out = Mat::zeros(blocks[0].rows(), mine.cols());
-        for (j, blk) in blocks.iter().enumerate() {
-            let payload = (j == ctx.rank).then(|| mine.clone());
-            let xj = ctx.world.bcast(j, payload, Cat::DenseComm);
-            ctx.charge_spmm(blk.nnz(), blk.rows(), xj.cols());
-            spmm_acc(blk, &xj, &mut out);
-        }
-        out
     }
 
     /// Forward pass; returns global mean masked NLL.
@@ -306,10 +307,13 @@ impl SageOneDimTrainer {
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
-            let m = self.block_row_spmm(ctx, &self.abar_blocks, &self.hs[l].clone());
-            let cat = Mat::hstack(&[self.hs[l].clone(), m.clone()]);
+            let h = &self.hs[l];
+            let m = self
+                .abar_blocks
+                .stage_spmm(&self.stages, ctx, &ctx.world, h);
+            let cat = Mat::hstack(&[(**h).clone(), m.clone()]);
             ctx.charge_gemm(cat.rows(), 2 * f_in, f_out);
-            let z = matmul(&cat, &self.weights[l]);
+            let z = matmul_with(ctx.parallel(), &cat, &self.weights[l]);
             let out = if l + 1 == l_total {
                 log_softmax_rows(&z)
             } else {
@@ -318,48 +322,39 @@ impl SageOneDimTrainer {
             ctx.charge_elementwise(z.len());
             self.ms.push(m);
             self.zs.push(z);
-            self.hs.push(out);
+            self.hs.push(Arc::new(out));
         }
-        let local = nll_sum(
-            crate::dist::output_block(&self.hs),
-            &self.labels,
-            &self.mask,
-            self.r0,
-        );
-        ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.train_count as f64
+        self.targets
+            .loss(ctx, Some((output_block(&self.hs), self.r0)))
     }
 
     /// Backward pass + replicated SGD step.
     pub fn backward(&mut self, ctx: &Ctx) {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "run forward first");
-        let mut g = output_gradient(
-            &self.zs[l_total - 1],
-            &self.labels,
-            &self.mask,
-            self.r0,
-            self.train_count,
-        );
-        ctx.charge_elementwise(g.len());
+        let z_out = &self.zs[l_total - 1];
+        let mut g = Arc::new(row_output_gradient(ctx, &self.targets, z_out, self.r0));
         for l in (0..l_total).rev() {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             let (w_top, w_bot) = split_weights(&self.weights[l], f_in);
             ctx.charge_gemm(f_in, g.rows(), f_out);
-            let y_top = matmul_tn(&self.hs[l], &g);
+            let y_top = matmul_tn_with(ctx.parallel(), &self.hs[l], &g);
             ctx.charge_gemm(f_in, g.rows(), f_out);
-            let y_bot = matmul_tn(&self.ms[l], &g);
+            let y_bot = matmul_tn_with(ctx.parallel(), &self.ms[l], &g);
             let y_local = Mat::vstack(&[y_top, y_bot]);
             let y = ctx.world.allreduce_mat(&y_local, Cat::DenseComm);
             if l > 0 {
-                let atg = self.block_row_spmm(ctx, &self.abar_t_blocks, &g.clone());
+                let atg = self
+                    .abar_t_blocks
+                    .stage_spmm(&self.stages, ctx, &ctx.world, &g);
                 ctx.charge_gemm(g.rows(), f_out, f_in);
-                let mut dh = matmul_nt(&g, &w_top);
+                let mut dh = matmul_nt_with(ctx.parallel(), &g, &w_top);
                 ctx.charge_gemm(atg.rows(), f_out, f_in);
-                add_assign(&mut dh, &matmul_nt(&atg, &w_bot));
+                add_assign(&mut dh, &matmul_nt_with(ctx.parallel(), &atg, &w_bot));
                 hadamard_assign(&mut dh, &relu_prime(&self.zs[l - 1]));
                 ctx.charge_elementwise(dh.len());
-                g = dh;
+                g = Arc::new(dh);
             }
             axpy_neg(&mut self.weights[l], self.cfg.lr, &y);
             ctx.charge_elementwise(y.len());
@@ -376,13 +371,8 @@ impl SageOneDimTrainer {
     /// Global training accuracy.
     pub fn accuracy(&mut self, ctx: &Ctx) -> f64 {
         let _ = self.forward(ctx);
-        let (c, t) = accuracy_counts(
-            crate::dist::output_block(&self.hs),
-            &self.labels,
-            &self.mask,
-            self.r0,
-        );
-        super::dist::global_accuracy(ctx, c, t)
+        let rows = Some((output_block(&self.hs), self.r0));
+        self.targets.accuracy(ctx, rows)
     }
 
     /// Replicated weights.
@@ -399,21 +389,22 @@ impl SageOneDimTrainer {
 pub struct SageTwoDimTrainer {
     cfg: SageConfig,
     grid: cagnet_comm::Grid2D,
-    train_count: usize,
+    targets: Targets,
     r0: usize,
     r1: usize,
+    /// Dense broadcasts with overlap off: every collective runs where a
+    /// blocking call would.
+    stages: StageFetcher,
     /// `Ā` block `(i, j)`.
     ab_ij: Csr,
     /// `Āᵀ` block `(i, j)`.
     abt_ij: Csr,
-    labels: Arc<Vec<usize>>,
-    mask: Arc<Vec<bool>>,
     weights: Vec<Mat>,
-    zs: Vec<Mat>,
-    hs: Vec<Mat>,
-    ms: Vec<Mat>,
-    h_out_row: Mat,
-    p_out_row: Mat,
+    zs: Vec<Arc<Mat>>,
+    hs: Vec<Arc<Mat>>,
+    ms: Vec<Arc<Mat>>,
+    /// Full-width output rows of my process row.
+    out: RowOutput,
 }
 
 impl SageTwoDimTrainer {
@@ -437,24 +428,27 @@ impl SageTwoDimTrainer {
         SageTwoDimTrainer {
             cfg: cfg.clone(),
             grid,
-            train_count: problem.train_count(),
+            targets: Targets::new(problem),
             r0,
             r1,
+            stages: StageFetcher::blocking(),
             ab_ij,
             abt_ij,
-            labels: Arc::new(problem.labels.clone()),
-            mask: Arc::new(problem.train_mask.clone()),
             weights: cfg.init_weights(),
             zs: Vec::new(),
-            hs: vec![h0],
+            hs: vec![Arc::new(h0)],
             ms: Vec::new(),
-            h_out_row: Mat::zeros(0, 0),
-            p_out_row: Mat::zeros(0, 0),
+            out: RowOutput::default(),
         }
     }
 
     fn my_rows(&self) -> usize {
         self.r1 - self.r0
+    }
+
+    /// My column range of a dense matrix `f` wide.
+    fn col_block(&self, f: usize) -> (usize, usize) {
+        block_range(f, self.grid.pc, self.grid.j)
     }
 
     /// Square SUMMA SpMM over the vertex dimension.
@@ -473,152 +467,78 @@ impl SageTwoDimTrainer {
                 Cat::DenseComm,
             );
             ctx.charge_spmm(a_hat.nnz(), a_hat.rows(), d_hat.cols());
-            spmm_acc(&a_hat, &d_hat, &mut out);
+            spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut out);
         }
         out
-    }
-
-    /// Partial SUMMA against one replicated half of `W`
-    /// (`rows w_r0..w_r0+f_in` of the stacked weight matrix), accumulated
-    /// into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn partial_summa_acc(
-        &self,
-        ctx: &Ctx,
-        t_mine: &Mat,
-        w: &Mat,
-        w_r0: usize,
-        f_in: usize,
-        f_out: usize,
-        out: &mut Mat,
-    ) {
-        let q = self.grid.pc;
-        let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-        for s in 0..q {
-            let t_hat = self.grid.row.bcast(
-                s,
-                (self.grid.j == s).then(|| t_mine.clone()),
-                Cat::DenseComm,
-            );
-            let (ic0, ic1) = block_range(f_in, q, s);
-            if ic1 == ic0 || oc1 == oc0 {
-                continue;
-            }
-            ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
-            let w_slice = w.block(w_r0 + ic0, w_r0 + ic1, oc0, oc1);
-            cagnet_dense::matmul_acc(&t_hat, &w_slice, out);
-        }
     }
 
     /// Forward pass; returns global mean masked NLL.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         let l_total = self.cfg.layers();
-        let q = self.grid.pc;
         self.zs.clear();
         self.ms.clear();
         self.hs.truncate(1);
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
-            let f_out = self.cfg.dims[l + 1];
-            let m = self.summa_spmm(ctx, &self.ab_ij, &self.hs[l].clone());
-            let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-            let mut z = Mat::zeros(self.my_rows(), oc1 - oc0);
             let h_in = self.hs[l].clone();
-            self.partial_summa_acc(ctx, &h_in, &self.weights[l], 0, f_in, f_out, &mut z);
-            self.partial_summa_acc(ctx, &m, &self.weights[l], f_in, f_in, f_out, &mut z);
+            let m = Arc::new(self.summa_spmm(ctx, &self.ab_ij, &h_in));
+            let (oc0, oc1) = self.col_block(self.cfg.dims[l + 1]);
+            let mut z = Mat::zeros(self.my_rows(), oc1 - oc0);
+            let (w_top, w_bot) = split_weights(&self.weights[l], f_in);
+            let row = &self.grid.row;
+            partial_summa_w(&self.stages, ctx, row, &h_in, &w_top, &mut z);
+            partial_summa_w(&self.stages, ctx, row, &m, &w_bot, &mut z);
+            let z = Arc::new(z);
             let out = if l + 1 == l_total {
-                let parts = self.grid.row.allgather(z.clone(), Cat::DenseComm);
-                let z_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
-                ctx.charge_elementwise(2 * z_row.len());
-                self.h_out_row = log_softmax_rows(&z_row);
-                self.p_out_row = cagnet_dense::activation::softmax_rows(&z_row);
-                self.h_out_row.block(0, z_row.rows(), oc0, oc1)
+                self.out.forward(ctx, &self.grid.row, &z)
             } else {
                 ctx.charge_elementwise(z.len());
                 relu(&z)
             };
             self.ms.push(m);
             self.zs.push(z);
-            self.hs.push(out);
+            self.hs.push(Arc::new(out));
         }
-        let local = if self.grid.j == 0 {
-            nll_sum(&self.h_out_row, &self.labels, &self.mask, self.r0)
-        } else {
-            0.0
-        };
-        ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.train_count as f64
-    }
-
-    fn output_gradient_block(&self) -> Mat {
-        let q = self.grid.pc;
-        let f_out = self.cfg.f_out();
-        let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-        let rows = self.my_rows();
-        let scale = 1.0 / self.train_count as f64;
-        let mut g = Mat::zeros(rows, oc1 - oc0);
-        for r in 0..rows {
-            let gv = self.r0 + r;
-            if !self.mask[gv] {
-                continue;
-            }
-            let out = g.row_mut(r);
-            for (cl, c) in (oc0..oc1).enumerate() {
-                let mut v = self.p_out_row[(r, c)] * scale;
-                if c == self.labels[gv] {
-                    v -= scale;
-                }
-                out[cl] = v;
-            }
-        }
-        g
+        let rows = self.out.rows(&self.grid.row, self.r0);
+        self.targets.loss(ctx, rows)
     }
 
     /// Backward pass + replicated SGD step.
     pub fn backward(&mut self, ctx: &Ctx) {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "run forward first");
-        let mut g = self.output_gradient_block();
-        ctx.charge_elementwise(g.len());
+        let cols = self.col_block(self.cfg.f_out());
+        let mut g = Arc::new(self.out.gradient(ctx, &self.targets, self.r0, cols));
+        let row = &self.grid.row;
         for l in (0..l_total).rev() {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             // Row-all-gathered G slab serves Y_top, Y_bot, and the W_topᵀ
             // term.
-            let parts = self.grid.row.allgather(g.clone(), Cat::DenseComm);
-            let g_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            let g_row = hstack_row(row, g.clone());
             ctx.charge_gemm(self.hs[l].cols(), self.my_rows(), f_out);
-            let yt_local = matmul_tn(&self.hs[l], &g_row);
+            let yt_local = matmul_tn_with(ctx.parallel(), &self.hs[l], &g_row);
             ctx.charge_gemm(self.ms[l].cols(), self.my_rows(), f_out);
-            let yb_local = matmul_tn(&self.ms[l], &g_row);
+            let yb_local = matmul_tn_with(ctx.parallel(), &self.ms[l], &g_row);
             let yt_j = self.grid.col.allreduce_mat(&yt_local, Cat::DenseComm);
             let yb_j = self.grid.col.allreduce_mat(&yb_local, Cat::DenseComm);
-            let yt_parts = self.grid.row.allgather(yt_j, Cat::DenseComm);
-            let yb_parts = self.grid.row.allgather(yb_j, Cat::DenseComm);
-            let y_top = Mat::vstack(&yt_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
-            let y_bot = Mat::vstack(&yb_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
-            let y = Mat::vstack(&[y_top, y_bot]);
+            let y = Mat::vstack(&[replicate_y(row, yt_j), replicate_y(row, yb_j)]);
             if l > 0 {
-                let (jc0, jc1) = block_range(f_in, self.grid.pc, self.grid.j);
-                let (w_top, w_bot) = (
-                    self.weights[l].block(0, f_in, 0, f_out),
-                    self.weights[l].block(f_in, 2 * f_in, 0, f_out),
-                );
+                let (jc0, jc1) = self.col_block(f_in);
+                let (w_top, w_bot) = split_weights(&self.weights[l], f_in);
                 // term1: G W_topᵀ, local from the gathered slab.
                 ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
-                let mut dh = matmul_nt(&g_row, &w_top.block(jc0, jc1, 0, f_out));
+                let w_top = w_top.block(jc0, jc1, 0, f_out);
+                let mut dh = matmul_nt_with(ctx.parallel(), &g_row, &w_top);
                 // term2: (Āᵀ G) W_botᵀ via SUMMA + row all-gather.
                 let atg = self.summa_spmm(ctx, &self.abt_ij, &g);
-                let atg_parts = self.grid.row.allgather(atg, Cat::DenseComm);
-                let atg_row =
-                    Mat::hstack(&atg_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+                let atg_row = hstack_row(row, Arc::new(atg));
                 ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
-                add_assign(
-                    &mut dh,
-                    &matmul_nt(&atg_row, &w_bot.block(jc0, jc1, 0, f_out)),
-                );
+                let w_bot = w_bot.block(jc0, jc1, 0, f_out);
+                add_assign(&mut dh, &matmul_nt_with(ctx.parallel(), &atg_row, &w_bot));
                 hadamard_assign(&mut dh, &relu_prime(&self.zs[l - 1]));
                 ctx.charge_elementwise(dh.len());
-                g = dh;
+                g = Arc::new(dh);
             }
             axpy_neg(&mut self.weights[l], self.cfg.lr, &y);
             ctx.charge_elementwise(y.len());

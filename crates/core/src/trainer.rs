@@ -1,6 +1,7 @@
-//! Uniform driver: train a GCN with any of the four distributed
-//! algorithms on a simulated cluster and collect losses, accuracy,
-//! weights, embeddings, and per-rank timeline reports.
+//! Uniform driver: train a GCN with any of the five distributed layouts
+//! (1D, 1D-row, 1.5D, 2D on square or rectangular grids, 3D) on a
+//! simulated cluster and collect losses, accuracy, weights, embeddings,
+//! and per-rank timeline reports.
 
 use crate::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, onedim_row::OneDimRowTrainer,
@@ -92,7 +93,7 @@ impl Algorithm {
 /// its relabeling pass (see [`TrainConfig::partition`]).
 #[derive(Clone, Debug)]
 pub enum PartitionSpec {
-    /// Run [`partition_greedy_bfs`] on the problem's adjacency with this
+    /// Run [`partition_greedy_bfs`](cagnet_sparse::partitioner::partition_greedy_bfs) on the problem's adjacency with this
     /// configuration. `num_parts` is overridden with the algorithm's
     /// [`Algorithm::row_groups`] so parts land on whole row blocks.
     Auto(PartitionConfig),

@@ -83,6 +83,19 @@ fn try_setup_reports_geometry_errors_as_values() {
             Some("2D trainer needs a square process count, got 3")
         );
     }
+    // A rectangular grid that does not tile the world, or has an empty
+    // side, is rejected before any split.
+    for (pr, pc) in [(2, 3), (0, 4)] {
+        let errs = Cluster::new(4).run(|ctx| {
+            TwoDimTrainer::try_setup_rect(ctx, &prob, &gcn(), TwoDimConfig::default(), pr, pc).err()
+        });
+        for (e, _) in errs {
+            assert_eq!(
+                e,
+                Some(SetupError::Geometry(format!("grid {pr}x{pc} != world 4")))
+            );
+        }
+    }
     // Non-cubic world for 3D.
     let errs = Cluster::new(4).run(|ctx| {
         ThreeDimTrainer::try_setup(ctx, &prob, &gcn())

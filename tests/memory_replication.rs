@@ -4,14 +4,16 @@
 //! (§IV-B), and 3D replicates intermediates by ∛P (§IV-D, the paper's
 //! stated reason for not implementing it).
 
-use cagnet::comm::Cluster;
+use cagnet::comm::{Cluster, Ctx};
 use cagnet::core::dist::{
-    one5d::One5DTrainer, onedim::OneDimTrainer, threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
-    StorageReport,
+    one5d::One5DTrainer, onedim::OneDimTrainer, onedim_row::OneDimRowTrainer,
+    threedim::ThreeDimTrainer, twodim::TwoDimTrainer, CommMode, StorageReport,
 };
 use cagnet::core::trainer::TwoDimConfig;
 use cagnet::core::{GcnConfig, Problem};
 use cagnet::sparse::generate::{rmat_symmetric, RmatParams};
+use cagnet::sparse::partition::{block_range, block_ranges};
+use cagnet::sparse::Csr;
 
 const F: usize = 32;
 
@@ -205,4 +207,114 @@ fn three_d_intermediate_replicates_by_cube_root_p() {
         i64 < i8,
         "3D intermediate should shrink with P: {i8} -> {i64}"
     );
+}
+
+/// Storage words of a CSR block: values + column indices + row pointers.
+fn csr_words(a: &Csr) -> usize {
+    2 * a.nnz() + a.rows() + 1
+}
+
+/// Per-rank footprints of the trainer `setup` builds, after switching it
+/// to `mode` and running one forward pass.
+macro_rules! storage_in_mode {
+    ($p:expr, $mode:expr, $setup:expr) => {
+        Cluster::new($p)
+            .run(|ctx| {
+                let mut t = ($setup)(ctx);
+                t.set_comm_mode($mode);
+                t.forward(ctx);
+                t.storage_words()
+            })
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect::<Vec<StorageReport>>()
+    };
+}
+
+/// Assert that each rank's `sparse` footprint is its `dense` one plus
+/// exactly the CSR words of the column-compacted copies of `panels(rank)`.
+fn assert_adds_compacted_panels(
+    name: &str,
+    dense: &[StorageReport],
+    sparse: &[StorageReport],
+    panels: impl Fn(usize) -> Vec<Csr>,
+) {
+    for (rank, (d, s)) in dense.iter().zip(sparse).enumerate() {
+        let extra: usize = panels(rank)
+            .iter()
+            .map(|a| csr_words(&a.compact_cols(&a.needed_cols())))
+            .sum();
+        assert!(extra > 0, "{name} rank {rank}: no compacted panels");
+        assert_eq!(s.adjacency, d.adjacency + extra, "{name} rank {rank}");
+        assert_eq!(s.dense_state, d.dense_state, "{name} rank {rank}");
+        assert_eq!(s.intermediate, d.intermediate, "{name} rank {rank}");
+    }
+}
+
+#[test]
+fn sparse_exchange_adds_exactly_the_compacted_panels() {
+    // A sparse-exchange tier builds column-compacted copies of the stage
+    // panels: the adjacency term grows by exactly their CSR words, and
+    // nothing else in the footprint moves. The panels are sliced here
+    // the way each layout slices them.
+    let prob = problem();
+    let n = prob.vertices();
+    let row_panels = |a: &Csr, p: usize, rank: usize| -> Vec<Csr> {
+        let (r0, r1) = block_range(n, p, rank);
+        block_ranges(n, p)
+            .into_iter()
+            .map(|(c0, c1)| a.block(r0, r1, c0, c1))
+            .collect()
+    };
+    let one5d_panels = |p: usize, c: usize, rank: usize| -> Vec<Csr> {
+        let fine = block_ranges(n, p);
+        let (ti, tr) = (rank / c, rank % c);
+        let (cr0, cr1) = (fine[ti * c].0, fine[(ti + 1) * c - 1].1);
+        (0..p / c)
+            .map(|ip| {
+                let (b0, b1) = fine[ip * c + tr];
+                prob.adj_t.block(cr0, cr1, b0, b1)
+            })
+            .collect()
+    };
+    let three_d_panels = |q: usize, rank: usize| -> Vec<Csr> {
+        let (k, i, j) = (rank / (q * q), rank % (q * q) / q, rank % q);
+        let (r0, r1) = block_range(n, q, i);
+        let (c0, c1) = block_range(n, q, j);
+        let (s0, s1) = block_range(c1 - c0, q, k);
+        [&prob.adj_t, &prob.adj]
+            .iter()
+            .map(|a| a.block(r0, r1, c0 + s0, c0 + s1))
+            .collect()
+    };
+    let one_d = |ctx: &mut Ctx| OneDimTrainer::setup(ctx, &prob, &gcn());
+    let one_d_row = |ctx: &mut Ctx| OneDimRowTrainer::setup(ctx, &prob, &gcn());
+    let one5d = |ctx: &mut Ctx| One5DTrainer::setup(ctx, &prob, &gcn(), 2);
+    let three_d = |ctx: &mut Ctx| ThreeDimTrainer::setup(ctx, &prob, &gcn());
+    for mode in [CommMode::SparsityAware, CommMode::Cached { refresh: 2 }] {
+        assert_adds_compacted_panels(
+            "1d",
+            &storage_in_mode!(4, CommMode::Dense, one_d),
+            &storage_in_mode!(4, mode, one_d),
+            |rank| row_panels(&prob.adj_t, 4, rank),
+        );
+        assert_adds_compacted_panels(
+            "1d-row",
+            &storage_in_mode!(4, CommMode::Dense, one_d_row),
+            &storage_in_mode!(4, mode, one_d_row),
+            |rank| row_panels(&prob.adj, 4, rank),
+        );
+        assert_adds_compacted_panels(
+            "1.5d(c=2)",
+            &storage_in_mode!(4, CommMode::Dense, one5d),
+            &storage_in_mode!(4, mode, one5d),
+            |rank| one5d_panels(4, 2, rank),
+        );
+        assert_adds_compacted_panels(
+            "3d",
+            &storage_in_mode!(8, CommMode::Dense, three_d),
+            &storage_in_mode!(8, mode, three_d),
+            |rank| three_d_panels(2, rank),
+        );
+    }
 }
